@@ -9,8 +9,8 @@ buffer-dtype row), the hook specs and the client's RNG state; only
 scalars — loss, sample/step counts, the advanced RNG state — ride
 back.  Gram fan-outs (``masked_dots`` via the storage) run on the
 hosts' ``data`` channels while legs occupy the ``exec`` channels, so
-the server's streaming collect overlaps similarity maintenance with
-remote training exactly as it does with local threads.
+the server's collect overlaps similarity maintenance with remote
+training exactly as it does with local threads.
 
 The backend requires the upload buffer to live on
 :class:`~repro.distributed.storage.DistributedStorage` — co-location
@@ -24,8 +24,8 @@ When the server attaches its :class:`~repro.fl.comm
 carries), this backend records *measured* per-leg parameter counts —
 one model down plus any hook payloads the spec declares in
 ``comm_down_fields`` at dispatch, one model up plus ``comm_up_fields``
-at completion — and flags the ledger measured so the server skips its
-analytic charge for the round.  For FedCross and SCAFFOLD the measured
+at completion — and declares ``measures_comm`` so the server never
+adds its analytic charge on top.  For FedCross and SCAFFOLD the measured
 totals equal :func:`~repro.fl.comm.analytic_round_cost` exactly, which
 the communication tests assert.
 
@@ -40,19 +40,17 @@ from __future__ import annotations
 
 import pickle
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from repro.distributed.rpc import DistributedError
-from repro.faults.policy import LegFailure
 from repro.fl.execution import (
     ExecutionBackend,
+    LegGroup,
     _check_float_roundtrip,
     _check_parallel_cohort,
     _require_spec_hook,
-    _stream_as_completed,
-    _stream_captured,
     _trainer_hypers,
     register_execution,
 )
@@ -120,6 +118,12 @@ class LazyUploadState(Mapping):
 class DistributedExecution(ExecutionBackend):
     """Training legs scheduled on the shard hosts owning their rows."""
 
+    #: Transfers are measured at the sockets (down at submit, up at
+    #: land), so the server never adds its analytic charge on top —
+    #: with overlapping async rounds, the per-round attribution is the
+    #: landing window.
+    measures_comm = True
+
     def __init__(self, spec=None, clients=(), workers=None) -> None:
         super().__init__(spec, clients, workers)
         self._pool: ThreadPoolExecutor | None = None
@@ -184,10 +188,6 @@ class DistributedExecution(ExecutionBackend):
 
         hypers = _trainer_hypers(trainer)
         ledger = self.ledger
-        if ledger is not None:
-            # This backend measures real transfers; the server's analytic
-            # per-round charge would double-count.
-            ledger.mark_measured()
         self._ensure_pool(n)
         futures = []
         up_extras = []
@@ -227,13 +227,6 @@ class DistributedExecution(ExecutionBackend):
             )
         return futures, up_extras
 
-    def run(self, trainer, active, plans, rows, uploads):
-        n = min(len(active), len(plans))
-        results: list[LocalResult | None] = [None] * n
-        for i, result in self.run_streaming(trainer, active, plans, rows, uploads):
-            results[i] = result
-        return results
-
     def _landed(self, i, reply, active, rows, uploads, up_extras) -> LocalResult:
         """Book one completed leg: RNG, measured upload, replica note."""
         active[i].rng.bit_generator.state = reply["rng_state"]
@@ -255,49 +248,6 @@ class DistributedExecution(ExecutionBackend):
             mean_loss=float(reply["mean_loss"]),
         )
 
-    def run_streaming(
-        self, trainer, active, plans, rows, uploads
-    ) -> Iterator[tuple[int, LocalResult]]:
-        futures, up_extras = self._submit(trainer, active, plans, rows, uploads)
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, reply in _stream_as_completed(futures, indexed):
-            yield i, self._landed(i, reply, active, rows, uploads, up_extras)
-
-    def run_streaming_captured(
-        self, trainer, active, plans, rows, uploads, timeout=None, attacks=None
-    ):
-        n = min(len(active), len(plans))
-        try:
-            futures, up_extras = self._submit(
-                trainer, active, plans, rows, uploads, attacks=attacks
-            )
-        except DistributedError as exc:
-            # Fleet-level dispatch failure (dead host mid-broadcast):
-            # surface every leg as a structured failure so the engine
-            # can recover the fleet and resubmit, instead of aborting.
-            for i in range(n):
-                yield i, LegFailure(
-                    index=i,
-                    client_id=active[i].client_id,
-                    row=int(rows[i]),
-                    kind="error",
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            return
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, leg in _stream_captured(futures, indexed, active, rows, timeout):
-            if isinstance(leg, LegFailure):
-                yield i, leg
-                continue
-            yield i, self._landed(i, leg, active, rows, uploads, up_extras)
-
-    supports_async = True
-
-    #: Transfers are measured at the sockets (down at submit, up at
-    #: land), so the async driver must never add its analytic charge on
-    #: top — the per-round attribution is the landing window.
-    measures_comm = True
-
     def reserve(self, width: int) -> None:
         # Pre-size the dispatcher pool for the whole overlap window so
         # a mid-flight _ensure_pool growth (shutdown+rebuild) can never
@@ -305,8 +255,10 @@ class DistributedExecution(ExecutionBackend):
         self._ensure_pool(int(width))
 
     def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
-        from repro.fl.execution import LegGroup
-
+        # A fleet-level dispatch failure (dead host mid-broadcast)
+        # raises here; the landing loop reports it as a failure of every
+        # leg, so the resilience engine can recover the fleet and
+        # resubmit instead of aborting.
         futures, up_extras = self._submit(
             trainer, active, plans, rows, uploads, attacks=attacks
         )

@@ -40,25 +40,18 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
-from repro.faults.policy import FaultError, LegFailure, QuorumError
+from repro.faults.policy import (
+    FaultError,
+    LegFailure,
+    QuorumError,
+    describe_failures,
+    restore_rng,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fl.trainer import LocalResult
 
 __all__ = ["resilient_collect"]
-
-
-def _restore_rng(client, snapshot) -> None:
-    client.rng.bit_generator.state = snapshot
-
-
-def _describe(failures: "dict[int, LegFailure]") -> str:
-    parts = [
-        f"client {f.client_id} (row {f.row}): {f.kind}"
-        + (f" after {f.attempts} attempt(s)" if f.attempts else "")
-        for _, f in sorted(failures.items())
-    ]
-    return "; ".join(parts)
 
 
 def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
@@ -112,7 +105,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
         if failures and policy.failure_policy == "fail":
             raise FaultError(
                 f"round {server.round_idx} aborted under failure_policy="
-                f"'fail': {_describe(failures)}"
+                f"'fail': {describe_failures(failures)}"
             )
 
     # -- Byzantine decisions (seeded, per client-round) --------------------
@@ -188,7 +181,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
                     if results[i] is not None and int(rows[i]) in lost:
                         results[i] = None
                         ups -= 1
-                        _restore_rng(active[i], snapshots[i])
+                        restore_rng(active[i], snapshots[i])
                         pending.append(i)
 
         # -- 2. bounded retry with backoff ------------------------------
@@ -204,7 +197,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
             else:
                 retry = []
             for i in retry:
-                _restore_rng(active[i], snapshots[i])
+                restore_rng(active[i], snapshots[i])
                 failures.pop(i, None)
                 pending.append(i)
 
@@ -223,7 +216,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
     if failures and policy.failure_policy == "fail":
         raise FaultError(
             f"round {server.round_idx} aborted under failure_policy="
-            f"'fail': {_describe(failures)}"
+            f"'fail': {describe_failures(failures)}"
         )
     survivors = n - len(failures)
     required = policy.required_legs(n)
@@ -231,7 +224,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
         raise QuorumError(
             f"round {server.round_idx}: {survivors}/{n} fresh uploads, "
             f"quorum {policy.quorum:g} requires {required} — "
-            f"{_describe(failures)}"
+            f"{describe_failures(failures)}"
         )
     # Carry what's left: the stale dispatched row stays in the buffer
     # (CrossAggr / GramTracker keep a consistent K-row view) and the
@@ -239,7 +232,7 @@ def resilient_collect(server, active, plans, rows, uploads, *, sleep=None):
     # never been scheduled.
     for i, failure in sorted(failures.items()):
         uploads.set_state(rows[i], plans[i].state)
-        _restore_rng(active[i], snapshots[i])
+        restore_rng(active[i], snapshots[i])
         results[i] = LocalResult(
             state=plans[i].state, num_samples=0, num_steps=0, mean_loss=0.0
         )

@@ -23,9 +23,10 @@ Injectors
     Sleeps inside the training loop — a wall-clock straggler for
     ``leg_timeout`` and drain tests.
 :class:`UploadDropper`
-    Execution-backend wrapper converting chosen clients' successful
-    legs into ``error`` failures a bounded number of times — dropped
-    uploads with retry-budget semantics, on any backend.
+    Execution-backend wrapper (on the ``submit_group`` seam) failing
+    chosen clients' successful legs at landing a bounded number of
+    times — dropped uploads with retry-budget semantics, on any
+    backend.
 :func:`flaky_transport`
     Context manager wrapping an :class:`~repro.distributed.rpc
     .RPCChannel`'s sockets in :class:`FlakySocket`, which injects
@@ -42,8 +43,8 @@ import socket as _socket
 import time
 from dataclasses import dataclass, field
 
-from repro.faults.policy import LegFailure
 from repro.fl.callbacks import ServerCallback
+from repro.fl.execution import LegGroup
 from repro.fl.hooks import HookSpec
 
 __all__ = [
@@ -140,11 +141,12 @@ class UploadDropper:
 
     Wrap a server's live backend (``server.executor._backend``) and the
     first ``times`` successful legs of each client in ``client_ids``
-    come back as ``kind="error"`` :class:`LegFailure` instead — as if
-    the upload was lost after training.  Keyed by client id, not plan
-    index, so the drop budget survives the engine's re-submissions
-    (where indices shift).  Delegates everything else to the wrapped
-    backend.
+    fail at landing with an ``injected upload drop`` error instead — as
+    if the upload was lost after training; the landing loop reports
+    each as a ``kind="error"`` :class:`~repro.faults.policy.LegFailure`.
+    Keyed by client id, not plan index, so the drop budget survives
+    the engine's re-submissions (where indices shift).  Delegates
+    everything else to the wrapped backend.
     """
 
     def __init__(self, backend, client_ids, times: int = 1) -> None:
@@ -155,24 +157,25 @@ class UploadDropper:
     def __getattr__(self, name):
         return getattr(self._backend, name)
 
-    def run_streaming_captured(
-        self, trainer, active, plans, rows, uploads, timeout=None, attacks=None
-    ):
-        for i, out in self._backend.run_streaming_captured(
-            trainer, active, plans, rows, uploads, timeout=timeout, attacks=attacks
-        ):
-            cid = int(active[i].client_id)
-            if not isinstance(out, LegFailure) and self._budget.get(cid, 0) > 0:
+    def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
+        inner = self._backend.submit_group(
+            trainer, active, plans, rows, uploads, attacks=attacks
+        )
+
+        def finalize(j, raw):
+            result = inner.finalize(j, raw)
+            cid = int(active[j].client_id)
+            if self._budget.get(cid, 0) > 0:
                 self._budget[cid] -= 1
                 self.dropped += 1
-                out = LegFailure(
-                    index=i,
-                    client_id=cid,
-                    row=int(rows[i]),
-                    kind="error",
-                    message="injected upload drop",
-                )
-            yield i, out
+                raise RuntimeError("injected upload drop")
+            return result
+
+        def release():
+            for _ in inner.futures:
+                inner.leg_done()
+
+        return LegGroup(inner.futures, finalize, release)
 
 
 class FlakySocket:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 __all__ = [
+    "restore_rng",
+    "describe_failures",
     "FaultError",
     "QuorumError",
     "LegFailure",
@@ -50,7 +52,8 @@ class LegFailure:
     counts the training attempts actually spent on the leg (0 for
     simulated faults — those are never dispatched); ``drained`` flags a
     wall-clock timeout whose in-flight work was awaited and discarded
-    before control returned (the no-zombie-writes guarantee).
+    before control returned (the no-zombie-writes guarantee); ``error``
+    keeps the leg's own exception for callers that re-raise it.
     """
 
     index: int
@@ -60,6 +63,7 @@ class LegFailure:
     message: str = ""
     attempts: int = 0
     drained: bool = False
+    error: BaseException | None = field(default=None, repr=False, compare=False)
 
     @property
     def simulated(self) -> bool:
@@ -149,3 +153,18 @@ class RoundPolicy:
     def backoff_delay(self, attempt: int) -> float:
         """Exponential backoff before retry ``attempt`` (1-based)."""
         return self.leg_backoff * (2.0 ** max(0, attempt - 1))
+
+
+def restore_rng(client, snapshot) -> None:
+    """Rewind ``client``'s RNG to a submission-time ``snapshot``."""
+    client.rng.bit_generator.state = snapshot
+
+
+def describe_failures(failures: "dict[int, LegFailure]") -> str:
+    """One-line account of a round's failed legs, in plan order."""
+    parts = [
+        f"client {f.client_id} (row {f.row}): {f.kind}"
+        + (f" after {f.attempts} attempt(s)" if f.attempts else "")
+        for _, f in sorted(failures.items())
+    ]
+    return "; ".join(parts)

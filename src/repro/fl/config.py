@@ -84,14 +84,6 @@ class FLConfig:
         that backend; see :mod:`repro.tensor.backend`.  The ``numpy``
         backend is bit-identical to direct-numpy execution.  Resolved
         lazily against the array-backend registry.
-    streaming:
-        Consume client uploads *as they complete* (default ``True``):
-        the server packs each upload and runs its per-upload work
-        (e.g. FedCross's incremental Gram updates) while slower legs
-        are still training.  ``False`` keeps the gathered reference
-        schedule.  Both modes are bit-identical in histories, uploads
-        and RNG state — streaming only moves server-side work earlier
-        in wall clock.
     round_mode:
         Round schedule (:mod:`repro.fl.scheduler`): ``"sync"``
         (default — the reference schedule, each round blocks on its
@@ -187,7 +179,6 @@ class FLConfig:
     execution: str = "serial"
     workers: int | None = None
     array_backend: str | None = None
-    streaming: bool = True
     round_mode: str = "sync"
     max_staleness: int = 0
     faults: Any = None

@@ -42,25 +42,29 @@ same registry style as :mod:`repro.core.storage`'s pool backends:
     so the trained state lands in its shard without transiting the
     coordinator.  Requires the pool on ``distributed`` storage.
 
-Streaming runs
---------------
-Every backend also exposes :meth:`ExecutionBackend.run_streaming`, an
-as-completed generator yielding ``(plan_index, result)`` the moment
-each leg lands: ``serial`` yields per leg in plan order (the reference
-schedule), ``thread``/``process`` yield in completion order while
-slower legs are still training.  The server's streaming collect phase
-(``FLConfig.streaming``, on by default) consumes it to pack uploads
-and feed FedCross's incremental Gram tracker *during* the round —
-fully consuming the stream leaves bit-identical uploads, results and
-RNG state versus :meth:`ExecutionBackend.run`.  Third-party backends
-that only implement ``run`` inherit a gathered fallback.
+One execution seam
+------------------
+A backend implements one primitive, :meth:`ExecutionBackend.submit_group`:
+submit the cohort's legs without blocking and return a :class:`LegGroup`
+of futures.  Everything else — waiting, landing each leg on the
+caller's thread, the wall-clock deadline, cancel-and-drain on early
+exit, converting leg errors into structured
+:class:`~repro.faults.policy.LegFailure` records — is one landing loop
+(:func:`_land`) shared by every caller.  :class:`ClientExecutor`'s
+``run`` / ``run_streaming`` / ``run_streaming_captured`` are thin
+consumers of that loop, and the async round scheduler drives
+``submit_group`` directly for cross-round overlap.  Landed legs are
+yielded as they complete — in plan order within one wakeup, so
+``serial`` (whose groups complete eagerly) keeps the reference plan
+order — and the server packs uploads and feeds FedCross's incremental
+Gram tracker *while* slower legs are still training.
 
 Dispatch dedup for round-shared payloads
 ----------------------------------------
 Hook specs may declare :attr:`~repro.fl.hooks.HookSpec.shared_fields`
 — state mappings identical across a round's plans (SCAFFOLD's
 ``c_global``, FedGen's generator snapshot).  The ``process`` backend
-packs each unique payload into a shared-memory row once per round
+packs each unique payload into a shared-memory row once per group
 (:class:`_PayloadPacker`) and ships a tiny :class:`SharedStateRef` per
 task instead; workers rebuild the mapping once per round from a
 per-worker cache.  The arrays cross the process boundary zero times
@@ -97,8 +101,10 @@ Backends register on :data:`EXECUTION_BACKENDS` via
 from __future__ import annotations
 
 import atexit
+import contextlib
 import copy
 import functools
+import itertools
 import os
 import time
 import weakref
@@ -107,7 +113,6 @@ from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    as_completed,
     wait,
 )
 from dataclasses import dataclass
@@ -232,7 +237,7 @@ _HYPER_FIELDS = ("local_epochs", "batch_size", "lr", "momentum", "weight_decay")
 
 
 def _trainer_hypers(trainer: LocalTrainer) -> dict:
-    """The live trainer's per-leg settings, captured per ``run`` call.
+    """The live trainer's per-leg settings, captured per submission.
 
     Parallel backends apply these to their private templates before
     every leg, so mid-run mutations of the server's trainer (e.g. the
@@ -276,34 +281,16 @@ def _check_parallel_cohort(active: "Sequence[Client]", rows: Sequence[int]) -> N
         )
 
 
-def _gather(futures):
-    """Collect future results in submit order, failing *cleanly*.
-
-    On any leg error the remaining futures are cancelled and in-flight
-    ones awaited before re-raising, so no stray leg keeps writing into
-    the server's reused upload buffer (or advancing client RNG streams)
-    after control has returned to the caller.
-    """
-    try:
-        return [future.result() for future in futures]
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        raise
-
-
 class LegGroup:
-    """One cross-round submission batch of in-flight training legs.
+    """One submission batch of in-flight training legs.
 
-    The async round scheduler's unit of work
-    (:meth:`ExecutionBackend.submit_group`): ``futures[j]`` resolves to
-    the backend's raw per-leg payload, ``finalize(j, raw)`` turns it
-    into a landed :class:`~repro.fl.trainer.LocalResult` on the
-    *caller's* thread (RNG restore, upload-row copy, attack
+    What :meth:`ExecutionBackend.submit_group` returns: ``futures[j]``
+    resolves to the backend's raw per-leg payload, ``finalize(j, raw)``
+    turns it into a landed :class:`~repro.fl.trainer.LocalResult` on
+    the *caller's* thread (RNG restore, upload-row copy, attack
     application), and ``leg_done()`` — called once per leg after it is
     finalized, failed or drained — releases group-scoped resources
-    (the process backend's shared-memory block pair) once every leg is
+    (the process backend's shared-memory blocks) once every leg is
     accounted for.
     """
 
@@ -327,43 +314,30 @@ class LegGroup:
 
 # -- backend protocol -------------------------------------------------------
 class ExecutionBackend:
-    """Runs one round's local-training legs and packs the uploads.
+    """Submits one cohort's local-training legs; the one execution seam.
 
-    The contract: train ``active[i]`` from ``plans[i]``, pack the
-    trained state into ``uploads`` row ``rows[i]``, advance each
-    client's RNG exactly as serial training would, and return the
-    :class:`~repro.fl.trainer.LocalResult` list in plan order.
-
-    :meth:`run_streaming` is the as-completed variant: it yields
-    ``(plan_index, result)`` pairs the moment each leg lands, so the
-    server can pack uploads and run incremental similarity work while
-    slower legs are still training.  Consuming the whole stream leaves
-    the exact same uploads/results/RNG state as :meth:`run` — the
-    difference is purely *when* the caller sees each leg.  The default
-    implementation delegates to :meth:`run` (no overlap), so
-    third-party backends that only implement ``run`` keep working.
+    The contract of :meth:`submit_group`: train ``active[j]`` from
+    ``plans[j]`` and return a :class:`LegGroup` whose finalized legs
+    have packed the trained state into ``uploads`` row ``rows[j]`` and
+    advanced each client's RNG exactly as serial training would.
+    Waiting, landing order, deadlines and failure capture are not the
+    backend's business — :class:`ClientExecutor`'s landing loop and the
+    async round scheduler own them.
     """
 
     name = "abstract"
 
     #: Optional :class:`~repro.fl.comm.CommunicationLedger` attached by
-    #: the server (via ``ClientExecutor(ledger=...)``).  Backends that
-    #: *measure* real transfers (the ``distributed`` backend counts the
-    #: parameters actually crossing its sockets) record into it and
-    #: flag it measured, which makes the server skip its analytic
-    #: per-round charge; in-process backends ignore it (nothing moves).
+    #: the server.  Backends that *measure* real transfers (the
+    #: ``distributed`` backend counts the parameters actually crossing
+    #: its sockets) record into it; in-process backends ignore it
+    #: (nothing moves).
     ledger = None
-
-    #: Backends supporting cross-round in-flight legs (the async round
-    #: scheduler's :meth:`submit_group` seam) set this True.
-    supports_async = False
 
     #: True when the backend itself *measures* real transfers into the
     #: ledger (the ``distributed`` backend records per-socket traffic at
-    #: submit/land time).  The async driver never analytically charges a
-    #: measuring backend — the sync path's ``ledger.measured`` flag is
-    #: reset at every round boundary and so cannot be trusted while
-    #: rounds overlap.
+    #: submit/land time).  The server — sync and async alike — never
+    #: adds its analytic charge on top of a measuring backend.
     measures_comm = False
 
     def __init__(
@@ -375,91 +349,6 @@ class ExecutionBackend:
         self.spec = spec
         self.clients = list(clients)
         self.workers = workers
-
-    def run(
-        self,
-        trainer: LocalTrainer,
-        active: "list[Client]",
-        plans: "list[DispatchPlan]",
-        rows: Sequence[int],
-        uploads: "PoolBuffer",
-    ) -> list[LocalResult]:
-        raise NotImplementedError
-
-    def run_streaming(
-        self,
-        trainer: LocalTrainer,
-        active: "list[Client]",
-        plans: "list[DispatchPlan]",
-        rows: Sequence[int],
-        uploads: "PoolBuffer",
-    ) -> Iterator[tuple[int, LocalResult]]:
-        """Yield ``(plan_index, result)`` as legs complete.
-
-        Fallback: run the gathered schedule, then yield in plan order.
-        Built-in backends override with genuinely incremental variants.
-        """
-        results = self.run(trainer, active, plans, rows, uploads)
-        yield from enumerate(results)
-
-    def run_streaming_captured(
-        self,
-        trainer: LocalTrainer,
-        active: "list[Client]",
-        plans: "list[DispatchPlan]",
-        rows: Sequence[int],
-        uploads: "PoolBuffer",
-        timeout: float | None = None,
-        attacks: "Mapping[int, AttackSpec] | None" = None,
-    ) -> "Iterator[tuple[int, LocalResult | LegFailure]]":
-        """Fault-capturing stream: yield a result *or* a ``LegFailure``.
-
-        The resilience engine's seam (:mod:`repro.faults.engine`): a leg
-        error is reported as a structured
-        :class:`~repro.faults.policy.LegFailure` instead of raising, so
-        the remaining legs keep running and the policy layer decides
-        what to do — cancel-on-error becomes cancel-on-policy.
-        ``timeout`` is the wall-clock deadline for the whole submission
-        (parallel backends only); at the deadline unstarted legs are
-        cancelled and in-flight ones **drained and discarded** — timed-
-        out work is never written after control returns, so a retry or
-        carry can safely overwrite the row.
-
-        ``attacks`` maps plan indices to Byzantine
-        :class:`~repro.robust.attacks.AttackSpec`s.  An attacked leg
-        trains honestly, then its *upload* (the buffer row and the
-        yielded result's state) is replaced with the poisoned row right
-        before the leg is yielded — the upload boundary — so the honest
-        trained state is never perturbed and every per-upload consumer
-        (Gram tracking, screening, aggregation) sees the attack.
-
-        Fallback for third-party ``run``-only backends: consume the
-        plain stream and convert a raised error into failures for every
-        leg not yet seen (the backend already cancelled/drained its
-        own in-flight work on the way out).
-        """
-        n = min(len(active), len(plans))
-        seen: set[int] = set()
-        try:
-            for i, result in self.run_streaming(trainer, active, plans, rows, uploads):
-                seen.add(i)
-                if attacks and i in attacks:
-                    result = _attacked_result(
-                        attacks[i], plans[i], rows[i], uploads, result
-                    )
-                yield i, result
-        except (KeyboardInterrupt, SystemExit, GeneratorExit):
-            raise
-        except BaseException as exc:  # noqa: BLE001 - converted to failures
-            for i in range(n):
-                if i not in seen:
-                    yield i, LegFailure(
-                        index=i,
-                        client_id=active[i].client_id,
-                        row=int(rows[i]),
-                        kind="error",
-                        message=f"{type(exc).__name__}: {exc}",
-                    )
 
     def reserve(self, width: int) -> None:
         """Hint: up to ``width`` legs may be in flight concurrently.
@@ -481,22 +370,20 @@ class ExecutionBackend:
     ) -> "LegGroup":
         """Submit legs without blocking; return a :class:`LegGroup`.
 
-        The cross-round seam for ``round_mode='async'``: unlike the
-        ``run*`` schedules, the caller owns the wait loop and may have
-        several groups (from different rounds) in flight at once.  The
-        group's ``finalize(j, raw)`` converts a future's raw payload to
-        a :class:`LocalResult` (applying upload attacks at the landing
-        boundary) and ``leg_done()`` must be called once per leg so the
-        backend can recycle per-group resources.
+        The caller owns the wait loop and may hold several groups (from
+        different rounds) in flight at once.  ``attacks`` maps plan
+        indices to Byzantine :class:`~repro.robust.attacks.AttackSpec`
+        instances applied at the landing boundary (see
+        :func:`_attacked_result`).  An exception raised here counts as a
+        failure of every leg.
         """
         raise NotImplementedError(
-            f"execution backend {self.name!r} does not support cross-round "
-            "leg submission (round_mode='async' with max_staleness > 0)"
+            f"execution backend {self.name!r} does not implement submit_group"
         )
 
     def close(self) -> None:
         """Release pools/buffers; the backend lazily re-creates them on
-        the next :meth:`run`, so close is always safe."""
+        the next :meth:`submit_group`, so close is always safe."""
 
 
 def _attacked_result(spec, plan, row, uploads, result: LocalResult) -> LocalResult:
@@ -534,22 +421,32 @@ def _leg_failure(active, rows, i: int, kind: str, exc=None, drained=False) -> Le
         kind=kind,
         message=message,
         drained=drained,
+        error=exc,
     )
 
 
-def _stream_captured(
-    futures: Sequence, indexed: dict, active, rows, timeout: float | None
-) -> Iterator:
-    """As-completed stream that converts errors/deadline into failures.
+def _land(
+    group: LegGroup, active, rows, timeout: float | None = None
+) -> "Iterator[tuple[int, LocalResult | LegFailure]]":
+    """The landing loop: yield each leg of ``group`` as it completes.
 
-    The captured twin of :func:`_stream_as_completed`.  Timeout
-    semantics are drain-then-fail: at the deadline, unstarted futures
-    are cancelled, in-flight ones are *awaited to completion* and their
-    results discarded, and only then are the timeout failures yielded —
-    so no worker ever writes into the reused upload buffer (or mutates
-    a client RNG) after the caller has moved on, and a carry/redispatch
-    overwrite of the row cannot race a zombie leg.
+    Every leg comes out exactly once, as a finalized
+    :class:`~repro.fl.trainer.LocalResult` or — when its future raised
+    or its finalize failed — an ``error``
+    :class:`~repro.faults.policy.LegFailure`.  Legs that land in the
+    same wakeup are yielded in plan-index order.
+
+    ``timeout`` is the wall-clock deadline for the whole group, with
+    drain-then-fail semantics: at the deadline, unstarted legs are
+    cancelled, in-flight ones are *awaited to completion* and their
+    results discarded, and only then are the ``timeout`` failures
+    yielded — so no worker ever writes into the reused upload buffer
+    (or mutates a client RNG) after the caller has moved on, and a
+    carry/redispatch overwrite of the row cannot race a zombie leg.
+    A consumer abandoning the stream gets the same cancel-and-drain.
     """
+    futures = group.futures
+    index = {future: j for j, future in enumerate(futures)}
     pending = set(futures)
     deadline = None if timeout is None else time.monotonic() + float(timeout)
     try:
@@ -558,110 +455,52 @@ def _stream_captured(
             if deadline is not None:
                 remaining = max(0.0, deadline - time.monotonic())
             done, _ = wait(pending, timeout=remaining, return_when=FIRST_COMPLETED)
-            for future in done:
-                pending.discard(future)
-                i = indexed[future]
+            landed = []
+            for j in sorted(index[future] for future in done):
+                pending.discard(futures[j])
                 try:
-                    result = future.result()
-                except (KeyboardInterrupt, SystemExit, GeneratorExit):
+                    leg = group.finalize(j, futures[j].result())
+                except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as exc:  # noqa: BLE001 - captured
-                    yield i, _leg_failure(active, rows, i, "error", exc)
-                else:
-                    yield i, result
+                    leg = _leg_failure(active, rows, j, "error", exc)
+                finally:
+                    group.leg_done()
+                landed.append((j, leg))
+            yield from landed
             if not done and deadline is not None and time.monotonic() >= deadline:
-                late, pending = list(pending), set()
-                for future in late:
-                    future.cancel()
-                wait(late)  # drain: in-flight legs finish, results discarded
-                for future in late:
-                    yield indexed[future], _leg_failure(
-                        active, rows, indexed[future], "timeout", drained=True
-                    )
-                return
+                late = sorted(index[future] for future in pending)
+                _drain(pending, group)
+                pending = set()
+                for j in late:
+                    yield j, _leg_failure(active, rows, j, "timeout", drained=True)
     finally:
         if pending:
-            for future in pending:
-                future.cancel()
-            wait(list(pending))
+            _drain(pending, group)
 
 
-def _stream_as_completed(futures: Sequence, indexed: dict) -> Iterator:
-    """Yield ``(index, result)`` in completion order, failing cleanly.
-
-    On a leg error — or the consumer abandoning the stream — the
-    remaining futures are cancelled and in-flight ones awaited before
-    control leaves, so no stray leg keeps writing into the server's
-    reused upload buffer (the streaming twin of :func:`_gather`).
-    """
-    pending = set(futures)
-    try:
-        for future in as_completed(futures):
-            pending.discard(future)
-            yield indexed[future], future.result()
-    finally:
-        if pending:
-            for future in pending:
-                future.cancel()
-            wait(list(pending))
+def _drain(pending, group: LegGroup) -> None:
+    """Cancel unstarted legs, await in-flight ones, account for all."""
+    for future in pending:
+        future.cancel()
+    wait(list(pending))
+    for _ in pending:
+        group.leg_done()
 
 
 @register_execution("serial")
 class SerialExecution(ExecutionBackend):
     """The original sequential in-process loop (reference behaviour)."""
 
-    def run(self, trainer, active, plans, rows, uploads):
-        return [r for _, r in self.run_streaming(trainer, active, plans, rows, uploads)]
-
-    def run_streaming(self, trainer, active, plans, rows, uploads):
-        # Legs complete in plan order, so serial streaming preserves
-        # the reference schedule exactly — each leg is yielded (and the
-        # server's per-upload work runs) before the next one trains.
-        for i, (client, plan) in enumerate(zip(active, plans)):
-            result = client.train(
-                trainer,
-                plan.state,
-                loss_hook=resolve_hook(plan.loss_hook, plan.state),
-                grad_hook=resolve_hook(plan.grad_hook, plan.state),
-                lr_override=plan.lr_override,
-            )
-            uploads.set_state(rows[i], result.state)
-            yield i, result
-
-    def run_streaming_captured(
-        self, trainer, active, plans, rows, uploads, timeout=None, attacks=None
-    ):
-        # Serial legs run one at a time on the caller's thread, so a
-        # wall-clock ``timeout`` is meaningless here (nothing is ever
-        # in flight to abandon) and is deliberately ignored — the
-        # deterministic straggler policy lives in the fault scenario.
-        for i, (client, plan) in enumerate(zip(active, plans)):
-            try:
-                result = client.train(
-                    trainer,
-                    plan.state,
-                    loss_hook=resolve_hook(plan.loss_hook, plan.state),
-                    grad_hook=resolve_hook(plan.grad_hook, plan.state),
-                    lr_override=plan.lr_override,
-                )
-            except (KeyboardInterrupt, SystemExit, GeneratorExit):
-                raise
-            except BaseException as exc:  # noqa: BLE001 - captured
-                yield i, _leg_failure(active, rows, i, "error", exc)
-                continue
-            uploads.set_state(rows[i], result.state)
-            if attacks and i in attacks:
-                result = _attacked_result(attacks[i], plan, rows[i], uploads, result)
-            yield i, result
-
-    supports_async = True
-
     def submit_group(
         self, trainer, active, plans, rows, uploads, attacks=None
     ) -> LegGroup:
-        # Serial groups complete eagerly on the caller's thread, so the
-        # async driver degenerates to strictly sequential rounds — the
-        # property the bitwise-equivalence leg of the matrix relies on.
+        # Legs train eagerly on the caller's thread, in plan order, so
+        # the returned group is already complete: the landing loop
+        # yields it in plan order (the reference schedule), a wall-clock
+        # deadline can never expire, and the async driver degenerates
+        # to strictly sequential rounds — the property the
+        # bitwise-equivalence leg of the matrix relies on.
         futures: list[Future] = []
         for i, (client, plan) in enumerate(zip(active, plans)):
             future: Future = Future()
@@ -673,7 +512,7 @@ class SerialExecution(ExecutionBackend):
                     grad_hook=resolve_hook(plan.grad_hook, plan.state),
                     lr_override=plan.lr_override,
                 )
-            except (KeyboardInterrupt, SystemExit, GeneratorExit):
+            except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:  # noqa: BLE001 - captured
                 future.set_exception(exc)
@@ -741,36 +580,6 @@ class ThreadExecution(ExecutionBackend):
         finally:
             self._free.append(worker_trainer)
 
-    def _submit(self, trainer, active, plans, rows, uploads):
-        _check_parallel_cohort(active[: len(plans)], rows[: len(plans)])
-        self._ensure_pool()
-        hypers = _trainer_hypers(trainer)
-        return [
-            self._pool.submit(self._leg, i, client, plan, rows, uploads, hypers)
-            for i, (client, plan) in enumerate(zip(active, plans))
-        ]
-
-    def run(self, trainer, active, plans, rows, uploads):
-        return _gather(self._submit(trainer, active, plans, rows, uploads))
-
-    def run_streaming(self, trainer, active, plans, rows, uploads):
-        futures = self._submit(trainer, active, plans, rows, uploads)
-        yield from _stream_as_completed(futures, {f: i for i, f in enumerate(futures)})
-
-    def run_streaming_captured(
-        self, trainer, active, plans, rows, uploads, timeout=None, attacks=None
-    ):
-        futures = self._submit(trainer, active, plans, rows, uploads)
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, leg in _stream_captured(futures, indexed, active, rows, timeout):
-            if attacks and i in attacks and not isinstance(leg, LegFailure):
-                # Applied on the consumer thread after the leg landed:
-                # rows are unique, so the rewrite cannot race a worker.
-                leg = _attacked_result(attacks[i], plans[i], rows[i], uploads, leg)
-            yield i, leg
-
-    supports_async = True
-
     def reserve(self, width: int) -> None:
         # Grow the pool so overlapping rounds never queue behind one
         # cohort's width (ThreadPoolExecutor cannot shrink, only grow).
@@ -794,8 +603,8 @@ class ThreadExecution(ExecutionBackend):
         attack_map = dict(attacks) if attacks else {}
 
         def finalize(j: int, raw: LocalResult) -> LocalResult:
-            # Runs on the scheduler's thread after the leg landed: rows
-            # are unique across in-flight groups, so no worker races it.
+            # Runs on the landing thread after the leg landed: rows are
+            # unique across in-flight groups, so no worker races it.
             if j in attack_map:
                 return _attacked_result(
                     attack_map[j], plans[j], rows[j], uploads, raw
@@ -885,19 +694,35 @@ class SharedStateRef:
     signature: tuple
 
 
-class _PayloadPacker:
-    """Server-side owner of the round-shared payload segments.
+def _new_block(rows: int, cols: int, dtype) -> "_SharedBlock":
+    return _SharedBlock((rows, cols), dtype)
 
-    One :class:`_SharedBlock` per payload layout signature, reused
-    across rounds and regrown when a round needs more rows; rows are
-    float64 so narrower float payloads round-trip exactly (SCAFFOLD's
-    variates *are* float64 and must not be narrowed — the same guard
-    rails as the dispatch rows apply).
+
+class _PayloadPacker:
+    """Packs one submission group's round-shared payloads into shm.
+
+    One float64 :class:`_SharedBlock` per payload layout signature,
+    drawn from ``acquire(rows, cols, dtype)`` (the process backend's
+    free list; a fresh block by default) and handed back with the
+    group through :attr:`blocks`.  Rows are float64 so narrower float
+    payloads round-trip exactly (SCAFFOLD's variates *are* float64 and
+    must not be narrowed — the same guard rails as the dispatch rows
+    apply).
+
+    ``versions`` yields each pack's freshness token.  A recycled
+    segment row may carry a different payload in a later group and the
+    worker-side cache keys on ``(segment, row, version)``, so every
+    packer sharing a backend's segments must draw from one counter.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, acquire=_new_block, versions=None) -> None:
+        self._acquire = acquire
+        self._versions = versions if versions is not None else itertools.count(1)
         self._blocks: dict[tuple, _SharedBlock] = {}
-        self._version = 0
+
+    @property
+    def blocks(self) -> "list[_SharedBlock]":
+        return list(self._blocks.values())
 
     def pack_round(self, plans) -> list[tuple]:
         """Strip shared payloads from every plan's hooks for transit.
@@ -905,9 +730,11 @@ class _PayloadPacker:
         Returns one ``(loss_hook, grad_hook)`` pair per plan where each
         spec carrying shared payloads is replaced by a shallow copy
         holding :class:`SharedStateRef` placeholders (originals are
-        never mutated — the server reuses them across rounds).
+        never mutated — the server reuses them across rounds).  Each
+        unique payload (by identity) is packed once, however many plans
+        reference it.
         """
-        self._version += 1
+        version = next(self._versions)
         unique: dict[int, tuple] = {}  # id(payload) -> (payload, layout)
         counts: dict[tuple, int] = {}
         for plan in plans:
@@ -933,7 +760,7 @@ class _PayloadPacker:
             _check_float_roundtrip(layout, value, block.array.dtype)
             layout.flatten_into(value, block.array[row])
             refs[key] = SharedStateRef(
-                ref=block.ref, row=row, version=self._version, signature=sig
+                ref=block.ref, row=row, version=version, signature=sig
             )
         return [
             (
@@ -974,7 +801,7 @@ class _PayloadPacker:
             return
         if block is not None:
             block.close()
-        self._blocks[sig] = _SharedBlock((rows, layout.total_size), np.float64)
+        self._blocks[sig] = self._acquire(rows, layout.total_size, np.float64)
 
     def live_names(self) -> set[str]:
         return {
@@ -1086,9 +913,7 @@ def _process_leg(task: dict):
     trainer: LocalTrainer = _WORKER["trainer"]
     _apply_hypers(trainer, task["hypers"])
     layout = _WORKER["layout"]
-    live = {task["dispatch_ref"][0], task["upload_ref"][0]}
-    live.update(task["payload_names"])
-    _worker_prune_shm(live)
+    _worker_prune_shm(set(task["live_names"]))
     dispatch = _worker_attach(task["dispatch_ref"])
     upload = _worker_attach(task["upload_ref"])
 
@@ -1160,20 +985,24 @@ def _check_float_roundtrip(layout, state, dtype) -> None:
 
 @register_execution("process")
 class ProcessExecution(ExecutionBackend):
-    """Persistent worker processes + shared-memory state transport."""
+    """Persistent worker processes + shared-memory state transport.
+
+    Each submission group draws a private dispatch block, upload block
+    and round-shared payload blocks from one free list and returns them
+    when its last leg is accounted for — so overlapping groups (async
+    rounds) never share a row, and steady-state rounds reuse the same
+    segments instead of reallocating them.  Dispatch *and* upload rows
+    are indexed by plan position, never pool row (two in-flight groups
+    may reuse a pool row across a carry).
+    """
 
     def __init__(self, spec=None, clients=(), workers=None) -> None:
         super().__init__(spec, clients, workers)
         self._num_workers = _default_workers(workers)
         self._pool: ProcessPoolExecutor | None = None
-        self._dispatch: _SharedBlock | None = None
-        self._uploads_shm: _SharedBlock | None = None
-        self._payloads = _PayloadPacker()
-        # Free-list of (dispatch, upload) block pairs for cross-round
-        # groups, keyed (n, p, dtype str): overlapping rounds must not
-        # share the sync path's single block pair, or round t+1's pack
-        # would overwrite rows round t's workers are still reading.
-        self._group_blocks: dict[tuple, list] = {}
+        self._owned: list[_SharedBlock] = []  # every live block, free or in flight
+        self._free: list[_SharedBlock] = []
+        self._payload_versions = itertools.count(1)
 
     def _ensure_pool(self) -> None:
         if self._pool is not None:
@@ -1190,127 +1019,32 @@ class ProcessExecution(ExecutionBackend):
             initargs=(self.spec, datasets),
         )
 
-    def _ensure_shm(self, k: int, p: int, dtype) -> None:
-        shape = (k, p)
-        for attr in ("_dispatch", "_uploads_shm"):
-            block: _SharedBlock | None = getattr(self, attr)
-            if block is None or block.array is None or block.array.shape != shape or block.array.dtype != np.dtype(dtype):
-                if block is not None:
-                    block.close()
-                setattr(self, attr, _SharedBlock(shape, dtype))
+    def _acquire(self, rows: int, cols: int, dtype) -> _SharedBlock:
+        """Smallest free ``(>= rows, cols)`` block of ``dtype``, or a new
+        one — which supersedes (unlinks) the free blocks too small to
+        serve, so the free list stays bounded by groups in flight."""
+        dtype = np.dtype(dtype)
+        same = [
+            b for b in self._free
+            if b.array.shape[1] == cols and b.array.dtype == dtype
+        ]
+        fits = [b for b in same if b.array.shape[0] >= rows]
+        if fits:
+            block = min(fits, key=lambda b: b.array.shape[0])
+            self._free.remove(block)
+            return block
+        for block in same:
+            block.close()
+            self._free.remove(block)
+            self._owned.remove(block)
+        block = _SharedBlock((rows, cols), dtype)
+        self._owned.append(block)
+        return block
 
-    def _submit(self, trainer, active, plans, rows, uploads):
-        """Validate, pack shared-memory blocks, submit one future per leg."""
-        from repro.core.pool import _check_integer_roundtrip
-
-        _check_parallel_cohort(active[: len(plans)], rows[: len(plans)])
-        # Validate every plan *before* submitting anything: a bad hook
-        # or state on plan n must not leave legs 0..n-1 training (and
-        # writing shared rows) behind a raised error.
-        for plan in plans:
-            _require_spec_hook(plan.loss_hook, "DispatchPlan.loss_hook")
-            _require_spec_hook(plan.grad_hook, "DispatchPlan.grad_hook")
-        self._ensure_pool()
-        layout = uploads.layout
-        self._ensure_shm(len(uploads), layout.total_size, uploads.dtype)
-        # Round-shared hook payloads (SCAFFOLD's c_global, FedGen's
-        # generator state) are packed into payload segments once and
-        # replaced by tiny refs — never pickled per client.
-        hook_pairs = self._payloads.pack_round(plans)
-        payload_names = sorted(self._payloads.live_names())
-
-        # Pack each *unique* dispatched state once (FedAvg-family plans
-        # all share one global-state dict; FedCross plans are distinct
-        # pool rows), keyed by object identity.
-        dispatch_rows: dict[int, int] = {}
-        for plan in plans:
-            key = id(plan.state)
-            if key not in dispatch_rows:
-                if set(plan.state) != set(layout.keys):
-                    raise KeyError(
-                        "dispatched state keys do not match the model layout; "
-                        "the process backend can only ship model-shaped states"
-                    )
-                j = len(dispatch_rows)
-                dispatch_rows[key] = j
-                _check_integer_roundtrip(layout, plan.state, self._dispatch.array.dtype)
-                _check_float_roundtrip(layout, plan.state, self._dispatch.array.dtype)
-                layout.flatten_into(plan.state, self._dispatch.array[j])
-
-        hypers = _trainer_hypers(trainer)
-        futures = []
-        for i, (client, plan) in enumerate(zip(active, plans)):
-            loss_hook, grad_hook = hook_pairs[i]
-            futures.append(
-                self._pool.submit(
-                    _process_leg,
-                    {
-                        "client_id": client.client_id,
-                        "rng_state": client.rng.bit_generator.state,
-                        "dispatch_row": dispatch_rows[id(plan.state)],
-                        "upload_row": int(rows[i]),
-                        "dispatch_ref": self._dispatch.ref,
-                        "upload_ref": self._uploads_shm.ref,
-                        "payload_names": payload_names,
-                        "loss_hook": loss_hook,
-                        "grad_hook": grad_hook,
-                        "lr_override": plan.lr_override,
-                        "hypers": hypers,
-                    },
-                )
-            )
-        return futures
-
-    def run(self, trainer, active, plans, rows, uploads):
-        n = min(len(active), len(plans))
-        results: list[LocalResult | None] = [None] * n
-        for i, result in self.run_streaming(trainer, active, plans, rows, uploads):
-            results[i] = result
-        return results
-
-    def run_streaming(self, trainer, active, plans, rows, uploads):
-        futures = self._submit(trainer, active, plans, rows, uploads)
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, leg in _stream_as_completed(futures, indexed):
-            num_samples, num_steps, mean_loss, rng_state = leg
-            active[i].rng.bit_generator.state = rng_state
-            row = int(rows[i])
-            # Copy this leg's freshly written row from the shared
-            # segment into the server's buffer the moment it lands —
-            # straight into the row's owning shard on sharded (or
-            # memmap-backed) storage, while slower legs still train.
-            uploads.set_row(row, self._uploads_shm.array[row])
-            yield i, LocalResult(
-                state=uploads.as_state(row, copy=True),
-                num_samples=num_samples,
-                num_steps=num_steps,
-                mean_loss=mean_loss,
-            )
-
-    def run_streaming_captured(
-        self, trainer, active, plans, rows, uploads, timeout=None, attacks=None
-    ):
-        futures = self._submit(trainer, active, plans, rows, uploads)
-        indexed = {f: i for i, f in enumerate(futures)}
-        for i, leg in _stream_captured(futures, indexed, active, rows, timeout):
-            if isinstance(leg, LegFailure):
-                yield i, leg
-                continue
-            num_samples, num_steps, mean_loss, rng_state = leg
-            active[i].rng.bit_generator.state = rng_state
-            row = int(rows[i])
-            uploads.set_row(row, self._uploads_shm.array[row])
-            result = LocalResult(
-                state=uploads.as_state(row, copy=True),
-                num_samples=num_samples,
-                num_steps=num_steps,
-                mean_loss=mean_loss,
-            )
-            if attacks and i in attacks:
-                result = _attacked_result(attacks[i], plans[i], row, uploads, result)
-            yield i, result
-
-    supports_async = True
+    def _release(self, blocks) -> None:
+        for block in blocks:
+            if block.array is not None:  # not closed by close() meanwhile
+                self._free.append(block)
 
     def reserve(self, width: int) -> None:
         width = max(int(width), self._num_workers)
@@ -1319,69 +1053,92 @@ class ProcessExecution(ExecutionBackend):
             self._pool = None
         self._num_workers = width
 
-    def _acquire_blocks(self, n: int, p: int, dtype) -> "tuple[_SharedBlock, _SharedBlock]":
-        key = (int(n), int(p), np.dtype(dtype).str)
-        free = self._group_blocks.setdefault(key, [])
-        while free:
-            pair = free.pop()
-            if pair[0].array is not None and pair[1].array is not None:
-                return pair
-        return (_SharedBlock((n, p), dtype), _SharedBlock((n, p), dtype))
-
     def submit_group(
         self, trainer, active, plans, rows, uploads, attacks=None
     ) -> LegGroup:
-        """Cross-round submission on private per-group shm block pairs.
-
-        Differences from the sync :meth:`_submit` transport: dispatch
-        *and* upload rows are indexed by plan position ``j`` (not pool
-        row — two in-flight groups may reuse a pool row across a carry),
-        and round-shared hook payloads ride pickled inside each task
-        instead of through :class:`_PayloadPacker` (whose regrow-on-pack
-        would unlink segments a still-running group's workers map).
-        """
         from repro.core.pool import _check_integer_roundtrip
 
-        _check_parallel_cohort(active[: len(plans)], rows[: len(plans)])
-        for plan in plans:
+        n = min(len(active), len(plans))
+        _check_parallel_cohort(active[:n], rows[:n])
+        # Validate every hook *before* submitting anything: a bad hook
+        # on plan n must not leave legs 0..n-1 training (and writing
+        # shared rows) behind a raised error.
+        for plan in plans[:n]:
             _require_spec_hook(plan.loss_hook, "DispatchPlan.loss_hook")
             _require_spec_hook(plan.grad_hook, "DispatchPlan.grad_hook")
+        if n == 0:
+            return LegGroup([])
         self._ensure_pool()
         layout = uploads.layout
-        n = len(plans)
-        dispatch, upload = self._acquire_blocks(
-            max(1, n), layout.total_size, uploads.dtype
-        )
-        hypers = _trainer_hypers(trainer)
-        futures = []
-        for j, (client, plan) in enumerate(zip(active, plans)):
-            _check_integer_roundtrip(layout, plan.state, dispatch.array.dtype)
-            _check_float_roundtrip(layout, plan.state, dispatch.array.dtype)
-            layout.flatten_into(plan.state, dispatch.array[j])
-            futures.append(
-                self._pool.submit(
-                    _process_leg,
-                    {
-                        "client_id": client.client_id,
-                        "rng_state": client.rng.bit_generator.state,
-                        "dispatch_row": j,
-                        "upload_row": j,
-                        "dispatch_ref": dispatch.ref,
-                        "upload_ref": upload.ref,
-                        "payload_names": (),
-                        "loss_hook": plan.loss_hook,
-                        "grad_hook": plan.grad_hook,
-                        "lr_override": plan.lr_override,
-                        "hypers": hypers,
-                    },
+        dispatch = self._acquire(n, layout.total_size, uploads.dtype)
+        upload = self._acquire(n, layout.total_size, uploads.dtype)
+        packer = _PayloadPacker(self._acquire, self._payload_versions)
+
+        def release() -> None:
+            self._release([dispatch, upload, *packer.blocks])
+
+        futures: list[Future] = []
+        try:
+            # Round-shared hook payloads (SCAFFOLD's c_global, FedGen's
+            # generator state) are packed once and replaced by tiny
+            # refs — never pickled per client.
+            hook_pairs = packer.pack_round(plans[:n])
+            # Pack each *unique* dispatched state once (FedAvg-family
+            # plans all share one global-state dict; FedCross plans are
+            # distinct pool rows), keyed by object identity.
+            dispatch_rows: dict[int, int] = {}
+            for plan in plans[:n]:
+                key = id(plan.state)
+                if key in dispatch_rows:
+                    continue
+                if set(plan.state) != set(layout.keys):
+                    raise KeyError(
+                        "dispatched state keys do not match the model layout; "
+                        "the process backend can only ship model-shaped states"
+                    )
+                j = dispatch_rows[key] = len(dispatch_rows)
+                _check_integer_roundtrip(layout, plan.state, dispatch.array.dtype)
+                _check_float_roundtrip(layout, plan.state, dispatch.array.dtype)
+                layout.flatten_into(plan.state, dispatch.array[j])
+            live_names = sorted(b.shm.name for b in self._owned)
+            hypers = _trainer_hypers(trainer)
+            for j, (client, plan) in enumerate(zip(active[:n], plans[:n])):
+                loss_hook, grad_hook = hook_pairs[j]
+                futures.append(
+                    self._pool.submit(
+                        _process_leg,
+                        {
+                            "client_id": client.client_id,
+                            "rng_state": client.rng.bit_generator.state,
+                            "dispatch_row": dispatch_rows[id(plan.state)],
+                            "upload_row": j,
+                            "dispatch_ref": dispatch.ref,
+                            "upload_ref": upload.ref,
+                            "live_names": live_names,
+                            "loss_hook": loss_hook,
+                            "grad_hook": grad_hook,
+                            "lr_override": plan.lr_override,
+                            "hypers": hypers,
+                        },
+                    )
                 )
-            )
+        except BaseException:
+            # Nothing may still write into the blocks once they are
+            # back on the free list.
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            release()
+            raise
         attack_map = dict(attacks) if attacks else {}
 
         def finalize(j: int, raw) -> LocalResult:
             num_samples, num_steps, mean_loss, rng_state = raw
             active[j].rng.bit_generator.state = rng_state
             row = int(rows[j])
+            # Copy the leg's freshly written shm row into the server's
+            # buffer the moment it lands — straight into the row's
+            # owning shard on sharded (or memmap-backed) storage.
             uploads.set_row(row, upload.array[j])
             result = LocalResult(
                 state=uploads.as_state(row, copy=True),
@@ -1393,21 +1150,12 @@ class ProcessExecution(ExecutionBackend):
                 result = _attacked_result(attack_map[j], plans[j], row, uploads, result)
             return result
 
-        def release() -> None:
-            if dispatch.array is not None and upload.array is not None:
-                key = (
-                    int(dispatch.array.shape[0]),
-                    int(dispatch.array.shape[1]),
-                    dispatch.array.dtype.str,
-                )
-                self._group_blocks.setdefault(key, []).append((dispatch, upload))
-
         return LegGroup(futures, finalize, release)
 
     def close(self) -> None:
         # Release the shared segments even when the pool shutdown is
         # interrupted (Ctrl-C while workers drain): pool teardown runs
-        # first, but block/payload unlinking sits in the finally so a
+        # first, but block unlinking sits in the finally so a
         # KeyboardInterrupt unwinding through shutdown() cannot leak
         # /dev/shm segments until reboot.
         pool, self._pool = self._pool, None
@@ -1415,29 +1163,37 @@ class ProcessExecution(ExecutionBackend):
             if pool is not None:
                 pool.shutdown(wait=True)
         finally:
-            for attr in ("_dispatch", "_uploads_shm"):
-                block = getattr(self, attr)
-                if block is not None:
-                    block.close()
-                    setattr(self, attr, None)
-            for pairs in self._group_blocks.values():
-                for pair in pairs:
-                    for block in pair:
-                        block.close()
-            self._group_blocks.clear()
-            self._payloads.close()
+            for block in self._owned:
+                block.close()
+            self._owned.clear()
+            self._free.clear()
 
 
 # -- facade -----------------------------------------------------------------
+def _raise_failures(legs: Iterator) -> Iterator[tuple[int, LocalResult]]:
+    """Uncaptured view of a landing loop: re-raise a failed leg's own
+    exception — after the loop has cancelled unstarted legs and drained
+    in-flight ones, so nothing writes into the upload buffer once the
+    error reaches the caller."""
+    with contextlib.closing(legs):
+        for i, leg in legs:
+            if isinstance(leg, LegFailure):
+                raise leg.error
+            yield i, leg
+
+
 class ClientExecutor:
     """The server's handle on its execution backend.
 
-    Resolves ``backend`` against the registry, builds the backend with a
+    Resolves ``backend`` against the registry and builds it with a
     :class:`TrainerSpec` derived from the live trainer (plus an optional
     explicit ``model_factory`` — required to be picklable for
-    ``process``), and forwards ``run``/``close``.  Servers construct one
-    from ``FLConfig.execution`` / ``FLConfig.workers`` by default;
-    callers may inject a custom instance through the server's
+    ``process``).  Owns the one landing loop over the backend's
+    :meth:`~ExecutionBackend.submit_group`, served three ways:
+    :meth:`run_streaming_captured` (failures as data), :meth:`run_streaming`
+    (failures raised) and :meth:`run` (results in plan order).  Servers
+    construct one from ``FLConfig.execution`` / ``FLConfig.workers`` by
+    default; callers may inject a custom instance through the server's
     ``executor=`` keyword.
     """
 
@@ -1473,6 +1229,21 @@ class ClientExecutor:
     def backend(self) -> ExecutionBackend:
         return self._backend
 
+    def _legs(self, trainer, active, plans, rows, uploads, timeout=None, attacks=None):
+        """Submit one group and land it; a raising ``submit_group`` is
+        one ``error`` failure per leg."""
+        try:
+            group = self._backend.submit_group(
+                trainer, active, plans, rows, uploads, attacks=attacks
+            )
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as exc:  # noqa: BLE001 - captured
+            for i in range(min(len(active), len(plans))):
+                yield i, _leg_failure(active, rows, i, "error", exc)
+            return
+        yield from _land(group, active, rows, timeout)
+
     def run(
         self,
         trainer: LocalTrainer,
@@ -1482,7 +1253,10 @@ class ClientExecutor:
         uploads: "PoolBuffer",
     ) -> list[LocalResult]:
         """Train the cohort and pack uploads; results in plan order."""
-        return self._backend.run(trainer, active, plans, rows, uploads)
+        results: list[LocalResult | None] = [None] * min(len(active), len(plans))
+        for i, result in self.run_streaming(trainer, active, plans, rows, uploads):
+            results[i] = result
+        return results
 
     def run_streaming(
         self,
@@ -1493,10 +1267,9 @@ class ClientExecutor:
         uploads: "PoolBuffer",
     ) -> Iterator[tuple[int, LocalResult]]:
         """Train the cohort, yielding ``(plan_index, result)`` pairs as
-        legs land — the overlap seam the streaming collect phase
-        consumes.  Fully consuming the stream is equivalent to
-        :meth:`run` (same uploads, results and RNG advancement)."""
-        return self._backend.run_streaming(trainer, active, plans, rows, uploads)
+        legs land — the overlap seam the collect phase consumes.  A leg
+        error is re-raised once in-flight legs have drained."""
+        return _raise_failures(self._legs(trainer, active, plans, rows, uploads))
 
     def run_streaming_captured(
         self,
@@ -1508,22 +1281,13 @@ class ClientExecutor:
         timeout: float | None = None,
         attacks: "Mapping[int, AttackSpec] | None" = None,
     ) -> "Iterator[tuple[int, LocalResult | LegFailure]]":
-        """Fault-capturing twin of :meth:`run_streaming`: a leg that
-        raises (or misses the wall-clock ``timeout``) is yielded as a
-        structured :class:`~repro.faults.policy.LegFailure` instead of
-        aborting the stream — the seam the resilience engine drives.
-        ``attacks`` (plan index → Byzantine spec) poisons those legs'
-        uploads at the landing boundary; it is only forwarded when
-        present, so third-party backends predating the keyword keep
-        working in attack-free runs."""
-        if attacks:
-            return self._backend.run_streaming_captured(
-                trainer, active, plans, rows, uploads,
-                timeout=timeout, attacks=attacks,
-            )
-        return self._backend.run_streaming_captured(
-            trainer, active, plans, rows, uploads, timeout=timeout
-        )
+        """Fault-capturing stream — the seam the resilience engine
+        drives: a leg that raises (or misses the wall-clock ``timeout``,
+        see :func:`_land`) is yielded as a structured
+        :class:`~repro.faults.policy.LegFailure` instead of aborting the
+        stream.  ``attacks`` (plan index → Byzantine spec) poisons those
+        legs' uploads at the landing boundary."""
+        return self._legs(trainer, active, plans, rows, uploads, timeout, attacks)
 
     def close(self) -> None:
         """Shut down worker pools and release shared buffers (idempotent;

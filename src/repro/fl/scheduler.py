@@ -68,7 +68,13 @@ from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.faults.policy import FaultError, LegFailure, QuorumError
+from repro.faults.policy import (
+    FaultError,
+    LegFailure,
+    QuorumError,
+    describe_failures,
+    restore_rng,
+)
 from repro.fl.metrics import RoundRecord
 from repro.utils.registry import Registry
 
@@ -170,19 +176,6 @@ class SyncRoundScheduler(RoundScheduler):
                 break
 
 
-def _restore_rng(client, snapshot) -> None:
-    client.rng.bit_generator.state = snapshot
-
-
-def _describe(failures: "dict[int, LegFailure]") -> str:
-    parts = [
-        f"client {f.client_id} (row {f.row}): {f.kind}"
-        + (f" after {f.attempts} attempt(s)" if f.attempts else "")
-        for _, f in sorted(failures.items())
-    ]
-    return "; ".join(parts)
-
-
 @dataclass
 class _Leg:
     """One in-flight (or queued) training leg of the overlapped driver."""
@@ -276,12 +269,6 @@ class AsyncRoundScheduler(RoundScheduler):
                 "(run with max_staleness=0 for the sequential async window)"
             )
         backend = server.executor.backend
-        if not getattr(backend, "supports_async", False):
-            raise ValueError(
-                f"execution backend {backend.name!r} does not support "
-                "cross-round in-flight legs (submit_group); use "
-                "serial/thread/process/distributed or max_staleness=0"
-            )
         adapter = adapter_factory()
         policy = server.fault_policy
         S = self.max_staleness
@@ -364,7 +351,7 @@ class AsyncRoundScheduler(RoundScheduler):
             if rs.failures and policy.failure_policy == "fail":
                 raise FaultError(
                     f"round {t} aborted under failure_policy='fail': "
-                    f"{_describe(rs.failures)}"
+                    f"{describe_failures(rs.failures)}"
                 )
         attacks = {}
         if population is not None:
@@ -517,22 +504,22 @@ class AsyncRoundScheduler(RoundScheduler):
     def _land(self, server, adapter, policy, leg, future, ready, busy, states) -> None:
         rs = states[leg.t]
         try:
-            raw = future.result()
-        except (KeyboardInterrupt, SystemExit, GeneratorExit):
+            result = leg.group.finalize(leg.j, future.result())
+        except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:  # noqa: BLE001 - policy decides
-            leg.group.leg_done()
             failure = LegFailure(
                 index=leg.i,
                 client_id=leg.client.client_id,
                 row=leg.row,
                 kind="error",
                 message=f"{type(exc).__name__}: {exc}",
+                error=exc,
             )
             self._fail(server, policy, leg, failure, ready, busy, states)
             return
-        result = leg.group.finalize(leg.j, raw)
-        leg.group.leg_done()
+        finally:
+            leg.group.leg_done()
         busy.discard(leg.client.client_id)
         rs.results[leg.i] = result
         rs.ups += 1
@@ -556,7 +543,7 @@ class AsyncRoundScheduler(RoundScheduler):
         # the client can be released or resubmitted — so no later leg
         # ever trains from a half-advanced stream, and a carry lands
         # only after the rewind (the sync engine's contract).
-        _restore_rng(leg.client, leg.snapshot)
+        restore_rng(leg.client, leg.snapshot)
         if failure.retryable and leg.tries <= policy.leg_retries:
             leg.not_before = self.clock() + policy.backoff_delay(leg.tries)
             leg.reserved = True  # client stays reserved for its retry
@@ -586,7 +573,7 @@ class AsyncRoundScheduler(RoundScheduler):
         if rs.failures and policy.failure_policy == "fail":
             raise FaultError(
                 f"round {rs.t} aborted under failure_policy='fail': "
-                f"{_describe(rs.failures)}"
+                f"{describe_failures(rs.failures)}"
             )
         survivors = n - len(rs.failures)
         required = policy.required_legs(n)
@@ -594,7 +581,7 @@ class AsyncRoundScheduler(RoundScheduler):
             raise QuorumError(
                 f"round {rs.t}: {survivors}/{n} fresh uploads, "
                 f"quorum {policy.quorum:g} requires {required} — "
-                f"{_describe(rs.failures)}"
+                f"{describe_failures(rs.failures)}"
             )
         # Carry the degraded legs: the dispatched state re-lands in the
         # upload row (CrossAggr / GramTracker keep a full K-row view).

@@ -207,7 +207,6 @@ class FederatedServer:
             # Coordinator-side row mirror: a killed shard host can be
             # respawned and its rows restored instead of raising.
             self.backend_options["replicate"] = True
-        self.streaming = bool(getattr(config, "streaming", True))
         self.executor = executor or ClientExecutor(
             getattr(config, "execution", "serial"),
             trainer=trainer,
@@ -217,6 +216,10 @@ class FederatedServer:
             array_backend=getattr(config, "array_backend", None),
             ledger=self.ledger,
         )
+        if getattr(self.executor.backend, "ledger", None) is None:
+            # An injected executor: a measuring backend must record into
+            # this server's ledger, or its rounds would charge nothing.
+            self.executor.backend.ledger = self.ledger
         self._layout = StateLayout.from_state(model.state_dict())
         self._uploads: "PoolBuffer | None" = None
         self._upload_rows: list[int] = []
@@ -254,19 +257,12 @@ class FederatedServer:
         """Run local training and pack each upload into the pool buffer.
 
         A thin delegation to the configured execution backend: the
-        backend trains every plan (serially or across workers), writes
-        each trained state into its upload-buffer row, and the results
-        come back in plan order — bit-identical across backends.
-
-        With ``config.streaming`` (the default) the backend's
-        as-completed stream is consumed instead of its gathered run:
-        each upload is packed — and :meth:`on_upload` fired — the
-        moment its leg lands, overlapping server-side per-upload work
-        (e.g. FedCross's incremental Gram updates) with still-running
-        training legs.  Both modes produce bit-identical uploads,
-        results and RNG state; ``streaming=False`` keeps the gathered
-        reference schedule (``on_upload`` then fires in plan order
-        after the last leg).
+        backend trains every plan (serially or across workers) and
+        writes each trained state into its upload-buffer row; each
+        upload is consumed — and :meth:`on_upload` fired — the moment
+        its leg lands, overlapping server-side per-upload work (e.g.
+        FedCross's incremental Gram updates) with still-running legs.
+        Results come back in plan order, bit-identical across backends.
         """
         uploads = self._round_uploads(len(active))
         rows = [plan.context.get("row", i) for i, plan in enumerate(plans)]
@@ -274,7 +270,7 @@ class FederatedServer:
             # The resilience engine owns the round: simulated faults are
             # pre-dropped, infra failures retried / recovered, and the
             # survivors checked against the quorum.  Never engaged by a
-            # default config, so the branch below stays the untouched
+            # default config, so the loop below stays the untouched
             # bit-identical reference.
             from repro.faults.engine import resilient_collect  # lazy
 
@@ -283,29 +279,22 @@ class FederatedServer:
             results = resilient_collect(self, active, plans, rows, uploads)
             self._upload_rows = rows[: len(results)]
             return results
-        if self.streaming:
-            n = min(len(active), len(plans))
-            results: list[LocalResult | None] = [None] * n
-            for i, result in self.executor.run_streaming(
-                self.trainer, active, plans, rows, uploads
-            ):
-                results[i] = result
-                self.on_upload(rows[i], result)
-        else:
-            results = self.executor.run(self.trainer, active, plans, rows, uploads)
-            for i, result in enumerate(results):
-                self.on_upload(rows[i], result)
+        results: list[LocalResult | None] = [None] * min(len(active), len(plans))
+        for i, result in self.executor.run_streaming(
+            self.trainer, active, plans, rows, uploads
+        ):
+            results[i] = result
+            self.on_upload(rows[i], result)
         self._upload_rows = rows[: len(results)]
         return results
 
     def on_upload(self, row: int, result: LocalResult) -> None:
         """Per-upload hook: ``result`` just landed in buffer row ``row``.
 
-        Called once per collected leg — in completion order while other
-        legs are still training when ``config.streaming`` is on, in
-        plan order after the gathered run otherwise.  Overrides must
-        therefore be *order-independent* (FedCross's Gram row updates
-        are, by construction).  Default: no-op.
+        Called once per collected leg, in completion order while other
+        legs are still training (plan order on ``serial``).  Overrides
+        must therefore be *order-independent* (FedCross's Gram row
+        updates are, by construction).  Default: no-op.
         """
 
     def aggregate(
@@ -500,12 +489,12 @@ class FederatedServer:
     def charge_round_communication(self, active: list[Client], extra_down: int = 0, extra_up: int = 0) -> None:
         """Charge the standard 2K-model round cost plus method extras.
 
-        A no-op when the execution backend marked this round's ledger
-        *measured* (the ``distributed`` backend records the parameters
-        actually crossing its sockets per leg) — the analytic charge
-        would double-count what the transport already recorded.
+        A no-op when the execution backend ``measures_comm`` (the
+        ``distributed`` backend records the parameters actually
+        crossing its sockets per leg) — the analytic charge would
+        double-count what the transport already recorded.
         """
-        if self.ledger.measured:
+        if getattr(self.executor.backend, "measures_comm", False):
             return
         if self._round_leg_comm is not None:
             # The resilience engine counted actual leg traffic: one down

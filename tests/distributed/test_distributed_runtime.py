@@ -17,7 +17,7 @@ from repro.fl.simulation import FLSimulation
 HOSTS = 2
 
 
-def _config(method="fedcross", execution="distributed", rounds=2, streaming=True):
+def _config(method="fedcross", execution="distributed", rounds=2):
     return FLConfig(
         method=method,
         dataset="synth_cifar10",
@@ -33,7 +33,6 @@ def _config(method="fedcross", execution="distributed", rounds=2, streaming=True
         backend="distributed",
         hosts=HOSTS,
         execution=execution,
-        streaming=streaming,
         dataset_params={"samples_per_client": 20, "num_test": 40},
     )
 
@@ -58,8 +57,8 @@ class TestMeasuredLedger:
 
     def test_serial_execution_keeps_analytic_charge(self):
         """Distributed *storage* under the serial execution backend
-        still uses the server's analytic charge (nothing marks the
-        ledger measured) — and lands on the same numbers."""
+        still uses the server's analytic charge (the serial backend
+        does not measure comm) — and lands on the same numbers."""
         sim = FLSimulation(_config(execution="serial"))
         result = sim.run()
         k = sim.config.clients_per_round

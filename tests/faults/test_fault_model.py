@@ -354,3 +354,27 @@ class TestBenignStragglerConsistency:
             for f in pop.leg_faults(t, range(16))
         )
         assert misbehaved or pop.byzantine_mask().any()
+
+
+class TestPolicyHelpers:
+    def test_restore_rng_rewinds_client_stream(self):
+        from types import SimpleNamespace
+
+        from repro.faults.policy import restore_rng
+
+        client = SimpleNamespace(rng=np.random.default_rng(3))
+        snapshot = client.rng.bit_generator.state
+        first = client.rng.random(4)
+        restore_rng(client, snapshot)
+        np.testing.assert_array_equal(client.rng.random(4), first)
+
+    def test_describe_failures_in_plan_order_with_attempts(self):
+        from repro.faults.policy import LegFailure, describe_failures
+
+        failures = {
+            2: LegFailure(index=2, client_id=5, row=2, kind="timeout", attempts=2),
+            0: LegFailure(index=0, client_id=1, row=0, kind="dropout"),
+        }
+        assert describe_failures(failures) == (
+            "client 1 (row 0): dropout; client 5 (row 2): timeout after 2 attempt(s)"
+        )

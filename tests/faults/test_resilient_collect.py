@@ -12,7 +12,7 @@ from repro.faults import FaultError, QuorumError
 from repro.faults.inject import UploadDropper
 from repro.fl.callbacks import ServerCallback
 from repro.fl.config import FLConfig
-from repro.fl.execution import _leg_failure, _stream_captured
+from repro.fl.execution import LegGroup, _land, _leg_failure
 from repro.fl.simulation import run_simulation
 
 BASE = dict(
@@ -196,25 +196,24 @@ class TestRetries:
                     def __getattr__(self, name):
                         return getattr(inner, name)
 
-                    def run_streaming_captured(
-                        self, trainer, active, plans, rows, uploads, timeout=None
+                    def submit_group(
+                        self, trainer, active, plans, rows, uploads, attacks=None
                     ):
-                        from repro.faults import LegFailure
+                        group = inner.submit_group(
+                            trainer, active, plans, rows, uploads, attacks=attacks
+                        )
 
-                        for i, out in inner.run_streaming_captured(
-                            trainer, active, plans, rows, uploads, timeout=timeout
-                        ):
-                            cid = int(active[i].client_id)
-                            ok = not isinstance(out, LegFailure)
-                            if ok and outer.victim is None:
+                        def finalize(j, raw):
+                            out = group.finalize(j, raw)
+                            cid = int(active[j].client_id)
+                            if outer.victim is None:
                                 outer.victim = cid
-                            if ok and cid == outer.victim:
+                            if cid == outer.victim:
                                 outer.dropped += 1
-                                out = LegFailure(
-                                    index=i, client_id=cid, row=int(rows[i]),
-                                    kind="error", message="injected upload drop",
-                                )
-                            yield i, out
+                                raise RuntimeError("injected upload drop")
+                            return out
+
+                        return LegGroup(group.futures, finalize)
 
                 server.executor._backend = Wrapper()
 
@@ -255,9 +254,7 @@ class TestTimeouts:
         rows = [0]
         with ThreadPoolExecutor(max_workers=1) as pool:
             future = pool.submit(slow)
-            out = list(
-                _stream_captured([future], {future: 0}, active, rows, 0.05)
-            )
+            out = list(_land(LegGroup([future]), active, rows, 0.05))
         assert finished.is_set()  # the drain waited for the worker
         assert len(out) == 1
         i, failure = out[0]
@@ -280,12 +277,7 @@ class TestTimeouts:
         active = [SimpleNamespace(client_id=0), SimpleNamespace(client_id=1)]
         with ThreadPoolExecutor(max_workers=1) as pool:
             futures = [pool.submit(slow), pool.submit(never)]
-            out = list(
-                _stream_captured(
-                    futures, {f: i for i, f in enumerate(futures)},
-                    active, [0, 1], 0.05,
-                )
-            )
+            out = list(_land(LegGroup(futures), active, [0, 1], 0.05))
         assert ran == ["first"]
         assert sorted(i for i, _ in out) == [0, 1]
         assert all(f.kind == "timeout" for _, f in out)

@@ -44,9 +44,11 @@ class TestRegistry:
 
         @register_execution("probe-serial")
         class Probe(resolve_execution("serial")):
-            def run_streaming(self, trainer, active, plans, rows, uploads):
+            def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
                 calls.append(len(plans))
-                return super().run_streaming(trainer, active, plans, rows, uploads)
+                return super().submit_group(
+                    trainer, active, plans, rows, uploads, attacks=attacks
+                )
 
         try:
             sim = FLSimulation(tiny_config.replace(execution="probe-serial"))
@@ -57,33 +59,197 @@ class TestRegistry:
 
             del EXECUTION_BACKENDS["probe-serial"]
 
-    def test_run_only_backend_streams_via_fallback(self, tiny_config):
-        """A third-party backend implementing only ``run`` still serves
-        the streaming collect through the base-class fallback (gathered
-        run, yielded in plan order)."""
-        from repro.fl.execution import ExecutionBackend
 
-        calls = []
+class SubmitOnly(ExecutionBackend):
+    """A third-party backend implementing nothing but ``submit_group``:
+    eager in-process legs, each landed through a resolved future."""
 
-        @register_execution("probe-run-only")
-        class RunOnly(ExecutionBackend):
-            def __init__(self, spec=None, clients=(), workers=None):
-                super().__init__(spec, clients, workers)
-                self._serial = resolve_execution("serial")(spec, clients, workers)
+    def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
+        from concurrent.futures import Future
 
-            def run(self, trainer, active, plans, rows, uploads):
-                calls.append(len(plans))
-                return self._serial.run(trainer, active, plans, rows, uploads)
+        from repro.fl.execution import LegGroup
 
+        futures = []
+        for i, (client, plan) in enumerate(zip(active, plans)):
+            future = Future()
+            try:
+                result = client.train(
+                    trainer,
+                    plan.state,
+                    loss_hook=resolve_hook(plan.loss_hook, plan.state),
+                    grad_hook=resolve_hook(plan.grad_hook, plan.state),
+                    lr_override=plan.lr_override,
+                )
+            except Exception as exc:
+                future.set_exception(exc)
+            else:
+                uploads.set_state(rows[i], result.state)
+                future.set_result(result)
+            futures.append(future)
+        return LegGroup(futures)
+
+
+class TestSubmitGroupOnlyBackend:
+    """``submit_group`` is the whole backend contract: a backend that
+    defines nothing else serves every collect path — the sync phase
+    driver, ``train_cohort`` (FedCluster's cluster visits), the
+    resilience engine and the overlapped async driver — bitwise equal
+    to ``serial``."""
+
+    SCENARIOS = {
+        "sync-collect": dict(method="fedcross"),
+        "train-cohort": dict(method="fedcluster"),
+        "carry-round": dict(
+            method="fedcross",
+            faults={"dropout": 0.3},
+            failure_policy="carry",
+            quorum=0.25,
+        ),
+        "async-s2": dict(method="fedcross", round_mode="async", max_staleness=2),
+    }
+
+    @pytest.fixture(autouse=True)
+    def _registered(self):
+        register_execution("probe-submit-only")(SubmitOnly)
+        yield
+        from repro.fl.execution import EXECUTION_BACKENDS
+
+        del EXECUTION_BACKENDS["probe-submit-only"]
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_bitwise_equal_to_serial(self, tiny_config, scenario):
+        overrides = dict(self.SCENARIOS[scenario])
+        method = overrides.pop("method")
+        config = tiny_config.replace(rounds=2, **overrides).with_method(method)
+
+        def run(execution):
+            sim = FLSimulation(config.replace(execution=execution))
+            return sim.run()
+
+        ref, got = run("serial"), run("probe-submit-only")
+        assert len(got.history.records) == config.rounds
+        if scenario == "carry-round":  # the engine really carried legs
+            assert any(r.extras.get("leg_failures") for r in got.history.records)
+        for a, b in zip(ref.history.records, got.history.records):
+            assert (a.accuracy, a.loss, a.train_loss) == (
+                b.accuracy, b.loss, b.train_loss
+            ), scenario
+            assert (a.comm_up_params, a.comm_down_params) == (
+                b.comm_up_params, b.comm_down_params
+            ), scenario
+            assert a.extras.get("leg_failures") == b.extras.get("leg_failures")
+        for key in ref.final_state:
+            np.testing.assert_array_equal(
+                ref.final_state[key], got.final_state[key], err_msg=scenario
+            )
+
+
+class TestOneSeam:
+    """Every built-in backend implements the single ``submit_group``
+    seam and nothing of the retired per-backend entry points."""
+
+    @pytest.mark.parametrize("execution", ["serial", "thread", "process", "distributed"])
+    def test_backend_exposes_only_submit_group(self, execution):
+        cls = resolve_execution(execution)
+        assert cls.submit_group is not ExecutionBackend.submit_group
+        for retired in ("run", "run_streaming", "run_streaming_captured", "supports_async"):
+            assert not hasattr(cls, retired), (execution, retired)
+
+
+def _consume(executor, consumer, trainer, active, plans, rows, uploads):
+    """Drive one ``ClientExecutor`` consumer; results in plan order."""
+    out = getattr(executor, consumer)(trainer, active, plans, rows, uploads)
+    if consumer == "run":
+        return list(out)
+    results = [None] * len(plans)
+    for i, leg in out:
+        assert results[i] is None, f"leg {i} landed twice"
+        results[i] = leg
+    return results
+
+
+class TestExecutorConsumers:
+    """``run``, ``run_streaming`` and ``run_streaming_captured`` are three
+    views of one landing loop: on every in-process backend each lands
+    the same upload bytes, results and client RNG streams as a serial
+    ``run``."""
+
+    @staticmethod
+    def _round(config, execution, consumer):
+        sim = FLSimulation(config.replace(execution=execution, workers=2))
+        server = sim.server
         try:
-            sim = FLSimulation(tiny_config.replace(execution="probe-run-only"))
-            extras = sim.server.run_round(sim.server.select_cohort())
-            assert calls == [tiny_config.clients_per_round]
-            assert "train_loss" in extras
+            active = server.select_cohort()
+            plans = server.dispatch(active)
+            rows = list(range(len(plans)))
+            uploads = server._round_uploads(len(active))
+            results = _consume(
+                server.executor, consumer, server.trainer, active, plans, rows, uploads
+            )
         finally:
-            from repro.fl.execution import EXECUTION_BACKENDS
+            server.executor.close()
+        rngs = [client.rng.bit_generator.state for client in active]
+        return uploads.matrix.copy(), results, rngs
 
-            del EXECUTION_BACKENDS["probe-run-only"]
+    @pytest.mark.parametrize("consumer", ["run", "run_streaming", "run_streaming_captured"])
+    @pytest.mark.parametrize("execution", ["serial", "thread", "process"])
+    def test_consumer_bitwise_equal_to_serial_run(self, tiny_config, execution, consumer):
+        ref_up, ref_results, ref_rngs = self._round(tiny_config, "serial", "run")
+        got_up, got_results, got_rngs = self._round(tiny_config, execution, consumer)
+        np.testing.assert_array_equal(ref_up, got_up)
+        assert got_rngs == ref_rngs
+        for a, b in zip(ref_results, got_results, strict=True):
+            assert (a.num_samples, a.num_steps, a.mean_loss) == (
+                b.num_samples, b.num_steps, b.mean_loss
+            )
+            for key in a.state:
+                np.testing.assert_array_equal(a.state[key], b.state[key])
+
+
+class _SubmitRaises(ExecutionBackend):
+    def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
+        raise ConnectionError("fleet unreachable")
+
+
+class TestSubmitGroupFailure:
+    """A ``submit_group`` that raises is one ``error`` failure per leg:
+    captured as data by the fault-capturing consumer, re-raised as the
+    backend's own exception by the uncaptured ones."""
+
+    @pytest.fixture
+    def executor(self):
+        from repro.fl.execution import EXECUTION_BACKENDS
+
+        register_execution("probe-submit-raises")(_SubmitRaises)
+        try:
+            yield ClientExecutor("probe-submit-raises")
+        finally:
+            del EXECUTION_BACKENDS["probe-submit-raises"]
+
+    @staticmethod
+    def _cohort():
+        from types import SimpleNamespace
+
+        active = [SimpleNamespace(client_id=10 + i) for i in range(3)]
+        return active, [None] * 3, [4, 5, 6]
+
+    def test_captured_yields_one_error_per_leg(self, executor):
+        from repro.faults.policy import LegFailure
+
+        active, plans, rows = self._cohort()
+        legs = list(executor.run_streaming_captured(None, active, plans, rows, None))
+        assert [i for i, _ in legs] == [0, 1, 2]
+        for i, leg in legs:
+            assert isinstance(leg, LegFailure)
+            assert (leg.kind, leg.client_id, leg.row) == ("error", 10 + i, rows[i])
+            assert isinstance(leg.error, ConnectionError)
+            assert leg.retryable
+
+    @pytest.mark.parametrize("consumer", ["run", "run_streaming"])
+    def test_uncaptured_reraises_backend_exception(self, executor, consumer):
+        active, plans, rows = self._cohort()
+        with pytest.raises(ConnectionError, match="fleet unreachable"):
+            _consume(executor, consumer, None, active, plans, rows, None)
 
 
 class TestConfigWiring:
@@ -106,6 +272,42 @@ class TestConfigWiring:
     def test_workers_validated_at_backend_build(self, tiny_config):
         with pytest.raises(ValueError, match="workers"):
             ClientExecutor("thread", workers=-1)
+
+    def test_injected_executor_records_into_server_ledger(self, tiny_config):
+        """A measuring backend behind an injected executor records into
+        the server's ledger — the server never charges analytically on
+        top of it, so without the attachment its rounds would cost 0."""
+        from repro.fl.execution import EXECUTION_BACKENDS
+        from repro.fl.registry import build_server
+
+        @register_execution("probe-measuring")
+        class Measuring(resolve_execution("serial")):
+            measures_comm = True
+
+            def submit_group(self, trainer, active, plans, rows, uploads, attacks=None):
+                self.ledger.record_down(len(plans))
+                self.ledger.record_up(len(plans))
+                return super().submit_group(
+                    trainer, active, plans, rows, uploads, attacks=attacks
+                )
+
+        try:
+            sim = FLSimulation(tiny_config)
+            executor = ClientExecutor(
+                "probe-measuring", trainer=sim.trainer, clients=sim.clients
+            )
+            server = build_server(
+                tiny_config.method, tiny_config, sim.fed_dataset, sim.model,
+                sim.trainer, sim.clients, np.random.default_rng(0),
+                executor=executor,
+            )
+            assert executor.backend.ledger is server.ledger
+            server.fit(rounds=1)
+            k = tiny_config.clients_per_round
+            record = server.history.records[0]
+            assert (record.comm_up_params, record.comm_down_params) == (k, k)
+        finally:
+            del EXECUTION_BACKENDS["probe-measuring"]
 
 
 class TestTrainerSpec:
@@ -421,6 +623,27 @@ class TestParallelMechanics:
         assert "train_loss" in extras
         server.executor.close()
 
+    def test_serial_leg_error_raised_after_round_legs_train(self, tiny_config):
+        """Fail-fast on ``serial``: the failed leg's own exception
+        surfaces only after the round's remaining legs have trained and
+        landed their rows, exactly as a clean round would have."""
+        clean = FLSimulation(tiny_config).server
+        active = clean.select_cohort()
+        clean.collect(active, clean.dispatch(active))
+
+        server = FLSimulation(tiny_config).server
+        failing = server.select_cohort()
+        plans = server.dispatch(failing)
+        plans[0].loss_hook = ExplodingSpec()
+        with pytest.raises(RuntimeError, match="boom"):
+            server.collect(failing, plans)
+        np.testing.assert_array_equal(
+            server.uploads.matrix[1:], clean.uploads.matrix[1:]
+        )
+        assert [c.rng.bit_generator.state for c in failing[1:]] == [
+            c.rng.bit_generator.state for c in active[1:]
+        ]
+
     def test_train_cohort_reuses_size_keyed_buffers(self, tiny_config):
         sim = FLSimulation(tiny_config)
         server = sim.server
@@ -453,8 +676,10 @@ class TestSharedMemoryCleanup:
         from repro.fl.execution import ProcessExecution
 
         backend = ProcessExecution()
-        backend._ensure_shm(2, 3, np.float32)
-        names = [backend._dispatch.shm.name, backend._uploads_shm.shm.name]
+        in_flight = backend._acquire(2, 3, np.float32)
+        released = backend._acquire(2, 3, np.float32)
+        backend._release([released])
+        names = [in_flight.shm.name, released.shm.name]
 
         class InterruptedPool:
             def shutdown(self, wait=True):
@@ -464,10 +689,27 @@ class TestSharedMemoryCleanup:
         with pytest.raises(KeyboardInterrupt):
             backend.close()
         assert backend._pool is None
-        assert backend._dispatch is None and backend._uploads_shm is None
+        assert backend._owned == [] and backend._free == []
         for name in names:
             assert self._segment_gone(name), name
         backend.close()  # idempotent after the interrupted attempt
+
+    def test_free_list_reuses_then_supersedes_blocks(self):
+        """Groups recycle segments; a group needing more rows unlinks
+        the free blocks too small to serve, so the list stays bounded."""
+        from repro.fl.execution import ProcessExecution
+
+        backend = ProcessExecution()
+        try:
+            small = backend._acquire(2, 3, np.float32)
+            backend._release([small])
+            assert backend._acquire(1, 3, np.float32) is small
+            backend._release([small])
+            big = backend._acquire(4, 3, np.float32)
+            assert self._segment_gone(small.shm.name)
+            assert backend._owned == [big] and backend._free == []
+        finally:
+            backend.close()
 
     def test_atexit_sweep_unlinks_live_blocks(self):
         from repro.fl.execution import (
@@ -493,17 +735,17 @@ class TestSharedMemoryCleanup:
 
 
 class TestStreamDrain:
-    """The streaming iterators' cancel-and-drain contract: when a leg
-    errors (or the deadline passes), control must not leave the stream
-    while any in-flight leg could still write into the reused upload
-    buffer."""
+    """The landing loop's cancel-and-drain contract: when a leg errors
+    (or the deadline passes), control must not leave the loop while any
+    in-flight leg could still write into the reused upload buffer."""
 
     def test_stream_as_completed_drains_in_flight_on_error(self):
         import threading
         import time
         from concurrent.futures import ThreadPoolExecutor
+        from types import SimpleNamespace
 
-        from repro.fl.execution import _stream_as_completed
+        from repro.fl.execution import LegGroup, _land, _raise_failures
 
         finished = threading.Event()
 
@@ -518,16 +760,31 @@ class TestStreamDrain:
         def never():  # pragma: no cover - must stay queued and cancel
             raise AssertionError("cancelled leg ran")
 
+        active = [SimpleNamespace(client_id=i) for i in range(3)]
         with ThreadPoolExecutor(max_workers=2) as pool:
             slow_f = pool.submit(slow)
             fail_f = pool.submit(failing)
             never_f = pool.submit(never)  # queued behind the two above
-            futures = [slow_f, fail_f, never_f]
-            indexed = {f: i for i, f in enumerate(futures)}
+            group = LegGroup([slow_f, fail_f, never_f])
             with pytest.raises(RuntimeError, match="leg exploded"):
-                for _ in _stream_as_completed(futures, indexed):
+                for _ in _raise_failures(_land(group, active, [0, 1, 2])):
                     pass
             # The error only propagated after the in-flight leg ran to
             # completion (drained) and the unstarted one was cancelled.
             assert finished.is_set()
             assert never_f.cancelled()
+
+    def test_same_wakeup_lands_in_plan_order(self):
+        from concurrent.futures import Future
+        from types import SimpleNamespace
+
+        from repro.fl.execution import LegGroup, _land
+
+        futures = [Future() for _ in range(3)]
+        for j in (2, 0, 1):
+            futures[j].set_result(j)
+        released = []
+        group = LegGroup(futures, release=lambda: released.append(True))
+        active = [SimpleNamespace(client_id=i) for i in range(3)]
+        assert [i for i, _ in _land(group, active, [0, 1, 2])] == [0, 1, 2]
+        assert released == [True]  # every leg accounted for exactly once

@@ -318,9 +318,8 @@ def _spy_on_upload(sim):
 
 
 class TestOnUploadOrdering:
-    """Satellite: streaming, gathered and async schedules each fire
-    on_upload exactly once per (round, row) — and the async S=0 firing
-    set equals the sync one."""
+    """Sync and async schedules each fire on_upload exactly once per
+    (round, row) — and the async S=0 firing set equals the sync one."""
 
     def _fired(self, **overrides):
         sim = FLSimulation(_config(**overrides))
@@ -340,8 +339,7 @@ class TestOnUploadOrdering:
     @pytest.mark.parametrize(
         "overrides",
         [
-            dict(streaming=True),
-            dict(streaming=False),
+            dict(),
             dict(round_mode="async", max_staleness=0),
             dict(round_mode="async", max_staleness=2),
             dict(
@@ -351,7 +349,7 @@ class TestOnUploadOrdering:
                 workers=2,
             ),
         ],
-        ids=["streaming", "gathered", "async-s0", "async-s2", "async-s2-thread"],
+        ids=["streaming", "async-s0", "async-s2", "async-s2-thread"],
     )
     def test_fires_exactly_once_per_round_row(self, overrides):
         fired = self._fired(**overrides)
@@ -361,7 +359,7 @@ class TestOnUploadOrdering:
         assert all(fresh for _t, _row, fresh in fired)
 
     def test_async_zero_staleness_fires_same_set_as_sync(self):
-        sync = self._fired(streaming=True)
+        sync = self._fired()
         zero = self._fired(round_mode="async", max_staleness=0)
         assert sorted(sync) == sorted(zero)
 

@@ -1,14 +1,11 @@
-"""Streaming collect: bit-identical to the gathered schedule (ISSUE 4).
+"""Streaming collect: bit-identical to the serial reference.
 
-The streaming collect phase consumes uploads as legs complete and runs
-per-upload server work (``on_upload``) while slower legs still train.
-The contract: for every method and every execution backend, a
-streaming run is **bit-identical** to the gathered reference schedule
-— same histories, same final state, same pool matrices, same RNG
-advancement.  All seven registered methods are checked on the serial
-backend; the parallel backends are checked on the methods that
-exercise their hardest paths (FedCross's incremental Gram, SCAFFOLD's
-and FedGen's shared-payload specs).
+The collect phase consumes uploads as legs complete and runs per-upload
+server work (``on_upload``) while slower legs still train.  The
+contract: for every method, the ``thread`` and ``process`` backends —
+whose legs land in completion order — are **bit-identical** to the
+``serial`` reference, whose groups land in plan order — same
+histories, same final state, same pool matrices, same RNG advancement.
 """
 
 import numpy as np
@@ -21,7 +18,7 @@ from repro.fl.simulation import FLSimulation
 ALL_METHODS = ("fedavg", "fedprox", "scaffold", "fedgen", "clusamp", "fedcluster", "fedcross")
 
 
-def _config(method: str, execution: str, streaming: bool) -> FLConfig:
+def _config(method: str, execution: str) -> FLConfig:
     return FLConfig(
         method=method,
         dataset="synth_cifar10",
@@ -36,7 +33,6 @@ def _config(method: str, execution: str, streaming: bool) -> FLConfig:
         seed=11,
         execution=execution,
         workers=2,
-        streaming=streaming,
         dataset_params={"samples_per_client": 20, "num_test": 40},
         method_params={"mu": 0.1} if method == "fedprox" else {},
     )
@@ -71,33 +67,25 @@ class TestStreamingBitIdentity:
         assert set(ALL_METHODS) <= set(available_methods())
 
     @pytest.mark.parametrize("method", ALL_METHODS)
-    def test_serial_streaming_matches_gathered(self, method):
-        ref = _run(_config(method, "serial", streaming=False))
-        got = _run(_config(method, "serial", streaming=True))
-        _assert_identical(ref, got, f"{method}/serial")
-
-    @pytest.mark.parametrize("method", ALL_METHODS)
     def test_thread_streaming_matches_gathered(self, method):
-        ref = _run(_config(method, "thread", streaming=False))
-        got = _run(_config(method, "thread", streaming=True))
+        ref = _run(_config(method, "serial"))
+        got = _run(_config(method, "thread"))
         _assert_identical(ref, got, f"{method}/thread")
 
-    @pytest.mark.parametrize("method", ["fedcross", "scaffold", "fedgen"])
+    @pytest.mark.parametrize("method", ALL_METHODS)
     def test_process_streaming_matches_gathered(self, method):
-        ref = _run(_config(method, "process", streaming=False))
-        got = _run(_config(method, "process", streaming=True))
+        ref = _run(_config(method, "serial"))
+        got = _run(_config(method, "process"))
         _assert_identical(ref, got, f"{method}/process")
 
-    # Cross-execution-backend streaming equality (the old ad-hoc
-    # serial-vs-thread pairwise check) now lives in the full
-    # storage × execution × schedule grid of
-    # tests/integration/test_backend_matrix.py.
+    # Cross-execution-backend streaming equality on every storage
+    # backend lives in tests/integration/test_backend_matrix.py.
 
 
 class TestOnUploadHook:
     def test_on_upload_fires_once_per_row(self, tiny_config):
         calls = []
-        sim = FLSimulation(tiny_config.replace(streaming=True))
+        sim = FLSimulation(tiny_config)
         server = sim.server
         original = server.on_upload
         server.on_upload = lambda row, result: (calls.append(row), original(row, result))
@@ -105,23 +93,6 @@ class TestOnUploadHook:
         results = server.collect(active, server.dispatch(active))
         assert sorted(calls) == list(range(len(active)))
         assert len(results) == len(active)
-
-    def test_on_upload_fires_in_gathered_mode_too(self, tiny_config):
-        """The hook contract is mode-independent — gathered collect
-        fires it in plan order after the run."""
-        calls = []
-        sim = FLSimulation(tiny_config.replace(streaming=False))
-        server = sim.server
-        server.on_upload = lambda row, result: calls.append(row)
-        active = server.select_cohort()
-        server.collect(active, server.dispatch(active))
-        assert calls == list(range(len(active)))
-
-    def test_streaming_flag_wired_from_config(self, tiny_config):
-        assert FLSimulation(tiny_config).server.streaming is True
-        assert (
-            FLSimulation(tiny_config.replace(streaming=False)).server.streaming is False
-        )
 
 
 class TestFedCrossGramUnderStreaming:

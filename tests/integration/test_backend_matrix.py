@@ -1,4 +1,4 @@
-"""Cross-backend equivalence matrix (ISSUE 5).
+"""Cross-backend equivalence matrix.
 
 One parametrised suite replaces the ad-hoc pairwise checks that used to
 live in ``tests/core/test_storage.py`` (dense-vs-memmap fits) and
@@ -6,9 +6,8 @@ live in ``tests/core/test_storage.py`` (dense-vs-memmap fits) and
 FedCross fit must be **bit-identical** across the full grid
 
     {dense, memmap, sharded} × {serial, thread, process}
-                             × {streaming, gathered}
 
-plus the ``distributed`` leg (ISSUE 7): the same fit over two localhost
+plus the ``distributed`` leg: the same fit over two localhost
 shard-host processes, with either coordinator-side ``serial`` execution
 or the co-located ``distributed`` execution backend (legs train on the
 host owning their upload row, and the communication ledger switches to
@@ -16,9 +15,10 @@ measured counters) must land in the same cell of the matrix
 
 — same histories (accuracy/loss/train-loss/communication), same final
 global state, same final pool matrix — against one reference leg
-(dense / serial / gathered).  A smaller method-coverage class keeps the
-storage grid honest for a FedAvg-family method (``fedavg``) and a
-hook-heavy one (``scaffold``) too.
+(dense / serial, whose groups land in plan order).  A smaller
+method-coverage class keeps the storage grid honest for a
+FedAvg-family method (``fedavg``) and a hook-heavy one (``scaffold``)
+too.
 
 Why this is expected to hold exactly: selection runs on the incremental
 GramTracker (per-pair contiguous float64 dots — bitwise independent of
@@ -36,7 +36,6 @@ from repro.fl.simulation import FLSimulation
 
 STORAGES = ("dense", "memmap", "sharded")
 EXECUTIONS = ("serial", "thread", "process")
-SCHEDULES = (True, False)  # streaming, gathered
 
 # 3 shards over K=4 → uneven spans (1, 2, 1): exercises cross-shard
 # blocks, not just the trivial even split.
@@ -47,7 +46,7 @@ SHARDS = 3
 HOSTS = 2
 
 
-def _config(method: str, backend: str, execution: str, streaming: bool) -> FLConfig:
+def _config(method: str, backend: str, execution: str) -> FLConfig:
     return FLConfig(
         method=method,
         dataset="synth_cifar10",
@@ -65,7 +64,6 @@ def _config(method: str, backend: str, execution: str, streaming: bool) -> FLCon
         hosts=HOSTS if backend == "distributed" else None,
         execution=execution,
         workers=2,
-        streaming=streaming,
         dataset_params={"samples_per_client": 20, "num_test": 40},
     )
 
@@ -97,33 +95,27 @@ def _assert_identical(ref, got, label):
 
 @pytest.fixture(scope="module")
 def fedcross_reference():
-    """The dense / serial / gathered FedCross leg, run once."""
-    return _run(_config("fedcross", "dense", "serial", streaming=False))
+    """The dense / serial FedCross leg, run once."""
+    return _run(_config("fedcross", "dense", "serial"))
 
 
 class TestFedCrossBackendMatrix:
     @pytest.mark.parametrize("backend", STORAGES)
     @pytest.mark.parametrize("execution", EXECUTIONS)
-    @pytest.mark.parametrize(
-        "streaming", SCHEDULES, ids=["streaming", "gathered"]
-    )
     def test_fit_bit_identical_to_reference(
-        self, fedcross_reference, backend, execution, streaming
+        self, fedcross_reference, backend, execution
     ):
-        if (backend, execution, streaming) == ("dense", "serial", False):
+        if (backend, execution) == ("dense", "serial"):
             pytest.skip("this cell is the reference leg")
-        got = _run(_config("fedcross", backend, execution, streaming))
+        got = _run(_config("fedcross", backend, execution))
         _assert_identical(
-            fedcross_reference,
-            got,
-            f"fedcross/{backend}/{execution}/"
-            f"{'streaming' if streaming else 'gathered'}",
+            fedcross_reference, got, f"fedcross/{backend}/{execution}"
         )
 
     def test_sharded_pool_actually_sharded(self):
         """The matrix must be exercising real shards, not a degenerate
         single-span layout."""
-        sim = FLSimulation(_config("fedcross", "sharded", "serial", True))
+        sim = FLSimulation(_config("fedcross", "sharded", "serial"))
         sim.run()
         storage = sim.server.pool.storage
         assert storage.name == "sharded"
@@ -133,7 +125,7 @@ class TestFedCrossBackendMatrix:
     def test_memmap_shard_placement_bit_identical_too(self, fedcross_reference):
         """`FLConfig.shard_placement="memmap"` (the pools-beyond-RAM
         layout) must reach the storage and stay bit-identical."""
-        config = _config("fedcross", "sharded", "serial", True).replace(
+        config = _config("fedcross", "sharded", "serial").replace(
             shard_placement="memmap"
         )
         sim = FLSimulation(config)
@@ -156,7 +148,7 @@ class TestArrayBackendLeg:
 
     @pytest.mark.parametrize("execution", ["serial", "process"])
     def test_numpy_dispatch_bit_identical(self, fedcross_reference, execution):
-        config = _config("fedcross", "dense", execution, streaming=True).replace(
+        config = _config("fedcross", "dense", execution).replace(
             array_backend="numpy"
         )
         got = _run(config)
@@ -176,22 +168,16 @@ class TestDistributedLeg:
     *measures* instead of charging analytically."""
 
     @pytest.mark.parametrize("execution", ["serial", "distributed"])
-    @pytest.mark.parametrize(
-        "streaming", SCHEDULES, ids=["streaming", "gathered"]
-    )
     def test_fit_bit_identical_to_reference(
-        self, fedcross_reference, execution, streaming
+        self, fedcross_reference, execution
     ):
-        got = _run(_config("fedcross", "distributed", execution, streaming))
+        got = _run(_config("fedcross", "distributed", execution))
         _assert_identical(
-            fedcross_reference,
-            got,
-            f"fedcross/distributed/{execution}/"
-            f"{'streaming' if streaming else 'gathered'}",
+            fedcross_reference, got, f"fedcross/distributed/{execution}"
         )
 
     def test_pool_actually_spans_two_hosts(self):
-        sim = FLSimulation(_config("fedcross", "distributed", "serial", True))
+        sim = FLSimulation(_config("fedcross", "distributed", "serial"))
         sim.run()
         storage = sim.server.pool.storage
         assert storage.name == "distributed"
@@ -202,8 +188,8 @@ class TestDistributedLeg:
         """SCAFFOLD reads every upload state back on the coordinator
         (control-variate updates), driving the lazy remote-row fetch
         path — and its measured comm must match the analytic charge."""
-        ref = _run(_config("scaffold", "dense", "serial", streaming=True))
-        got = _run(_config("scaffold", "distributed", "distributed", streaming=True))
+        ref = _run(_config("scaffold", "dense", "serial"))
+        got = _run(_config("scaffold", "distributed", "distributed"))
         _assert_identical(ref, got, "scaffold/distributed/distributed")
 
 
@@ -215,8 +201,8 @@ class TestMethodCoverageAcrossStorage:
     @pytest.mark.parametrize("method", ["fedavg", "scaffold"])
     @pytest.mark.parametrize("backend", ["memmap", "sharded", "distributed"])
     def test_history_and_state_bit_identical_to_dense(self, method, backend):
-        ref = _run(_config(method, "dense", "serial", streaming=True))
-        got = _run(_config(method, backend, "serial", streaming=True))
+        ref = _run(_config(method, "dense", "serial"))
+        got = _run(_config(method, backend, "serial"))
         _assert_identical(ref, got, f"{method}/{backend}")
 
 
@@ -243,7 +229,7 @@ class TestAsyncRoundLeg:
     def test_zero_staleness_bit_identical(
         self, fedcross_reference, backend, execution
     ):
-        config = _config("fedcross", backend, execution, streaming=True).replace(
+        config = _config("fedcross", backend, execution).replace(
             round_mode="async", max_staleness=0
         )
         _assert_identical(
@@ -253,7 +239,7 @@ class TestAsyncRoundLeg:
         )
 
     def test_serial_overlap_window_bit_identical(self, fedcross_reference):
-        config = _config("fedcross", "dense", "serial", streaming=True).replace(
+        config = _config("fedcross", "dense", "serial").replace(
             round_mode="async", max_staleness=2
         )
         _assert_identical(
@@ -264,7 +250,7 @@ class TestAsyncRoundLeg:
         "backend,execution", (("dense", "process"), ("distributed", "distributed"))
     )
     def test_overlapped_invariants(self, backend, execution):
-        config = _config("fedcross", backend, execution, streaming=True).replace(
+        config = _config("fedcross", backend, execution).replace(
             round_mode="async", max_staleness=2
         )
         result, matrix = _run(config)

@@ -84,14 +84,14 @@ def test_backends_bit_identical_on_seed_cnn(method, seed, heterogeneity):
 )
 @settings(max_examples=3, deadline=None)
 def test_streaming_bit_identical_to_gathered_per_backend(method, seed):
-    """ISSUE 4: the as-completed streaming collect must reproduce the
-    gathered schedule bit-for-bit on every backend — including
-    FedCross's incrementally tracked Gram (update order varies with
-    completion order) and SCAFFOLD's shm-deduped control variates."""
+    """The as-completed collect must reproduce the serial plan-order
+    schedule bit-for-bit on every backend — including FedCross's
+    incrementally tracked Gram (update order varies with completion
+    order) and SCAFFOLD's shm-deduped control variates."""
     base = _config(method, seed, 0.5)
-    reference = _run(base.replace(streaming=False))
-    for execution in ("serial", "thread", "process"):
-        got = _run(base.replace(execution=execution, workers=2, streaming=True))
+    reference = _run(base)
+    for execution in ("thread", "process"):
+        got = _run(base.replace(execution=execution, workers=2))
         _assert_bit_identical(
             reference, got, f"{method}/{execution}/streaming/seed={seed}"
         )
