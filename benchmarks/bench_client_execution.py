@@ -5,7 +5,10 @@ execution engine makes it parallel.  This benchmark times one FedCross
 round-collect on the seed CNN for each execution backend at K ∈ {10,
 50} (``--smoke``: one small K) and verifies the engine's core guarantee
 on the same workload: **bit-identical training histories and final pool
-matrices across all three backends**.
+matrices across all three backends**.  A ``kernels`` section times the
+src conv2d forward/backward against the seed's ``np.add.at`` col2im
+kernel (kept here, not in ``src``), after asserting the two agree bit
+for bit; that timing is informational.
 
 The asserted bar — ``process`` ≥ 3× faster than ``serial`` at the
 largest K — only applies on hosts with ≥ 4 CPU cores (the speedup is
@@ -38,7 +41,7 @@ from repro.fl.simulation import FLSimulation
 from repro.models.registry import build_model
 from repro.optim import SGD
 from repro.tensor import Tensor
-from repro.tensor.functional import cross_entropy, im2col_indices
+from repro.tensor.functional import conv2d, cross_entropy, im2col_indices
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -272,9 +275,10 @@ def run_async_rounds(repeats: int, cores: int, smoke: bool,
 def _direct_cnn_step(params, bufs, x, y, lr, momentum):
     """Seed-direct raw-numpy replica of one FedAvgCNN client step.
 
-    Reproduces the exact pre-dispatch op sequence (same im2col indices,
-    same ``einsum(..., optimize=True)`` calls, same reshape-based pool
-    fast path, same float32 rounding points), so its updated parameters
+    Reproduces the dispatched stack's op sequence in raw numpy (same
+    im2col indices, same ``einsum(..., optimize=True)`` calls, same
+    kernel-offset slice-add col2im, same reshape-based pool fast path,
+    same float32 rounding points), so its updated parameters
     are **bit-identical** to the dispatched tensor stack's — verified by
     :func:`run_backend_dispatch` before any timing is trusted — and its
     wall clock is the true zero-dispatch baseline.
@@ -291,17 +295,22 @@ def _direct_cnn_step(params, bufs, x, y, lr, momentum):
         out_h = x_pad.shape[2] - kh + 1
         out_w = x_pad.shape[3] - kw + 1
         out = out.reshape(n, c_out, out_h, out_w) + b.reshape(1, c_out, 1, 1)
-        return out, (x_pad.shape, cols, w_mat, (k_idx, i_idx, j_idx), padding)
+        return out, (x_pad.shape, cols, w_mat, padding)
 
     def conv_bwd(g, w, cache):
-        pad_shape, cols, w_mat, (k_idx, i_idx, j_idx), padding = cache
-        n, c_out = g.shape[0], g.shape[1]
+        pad_shape, cols, w_mat, padding = cache
+        n, c_out, out_h, out_w = g.shape
+        c_in, kh, kw = w.shape[1:]
         g_mat = g.reshape(n, c_out, -1)
         grad_w = np.einsum("nop,nkp->ok", g_mat, cols, optimize=True).reshape(w.shape)
         grad_b = g.sum(axis=(0, 2, 3))
-        grad_cols = np.einsum("ok,nop->nkp", w_mat, g_mat, optimize=True)
+        grad_cols = np.einsum("ok,nop->knp", w_mat, g_mat, optimize=True)
+        grad_cols = grad_cols.reshape(c_in, kh, kw, n, out_h, out_w)
         grad_pad = np.zeros(pad_shape, dtype=g.dtype)
-        np.add.at(grad_pad, (slice(None), k_idx, i_idx, j_idx), grad_cols)
+        channel_major = grad_pad.transpose(1, 0, 2, 3)
+        for a in range(kh):
+            for b in range(kw):
+                channel_major[:, :, a : a + out_h, b : b + out_w] += grad_cols[:, a, b]
         if padding:
             grad_pad = grad_pad[:, :, padding:-padding, padding:-padding]
         return grad_pad, grad_w, grad_b
@@ -479,6 +488,91 @@ def run_backend_dispatch(smoke: bool, repeats: int, max_overhead: float, emit):
     return rows, failures
 
 
+# ----------------------------------------------------------------------
+# Conv kernels: slice-add col2im vs the seed's np.add.at scatter
+# ----------------------------------------------------------------------
+def _seed_conv2d(x, w, b, g, padding):
+    """The seed conv2d kernel (stride 1): fancy-index im2col, einsum,
+    and an ``np.add.at`` col2im.  Returns ``(out, grad_x, grad_w, grad_b)``."""
+    n = x.shape[0]
+    c_out, _, kh, kw = w.shape
+    x_pad = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    k_idx, i_idx, j_idx = im2col_indices(x_pad.shape, kh, kw, 1)
+    cols = x_pad[:, k_idx, i_idx, j_idx]
+    w_mat = w.reshape(c_out, -1)
+    out = np.einsum("ok,nkp->nop", w_mat, cols, optimize=True)
+    out = out.reshape(n, c_out, g.shape[2], g.shape[3]) + b.reshape(1, c_out, 1, 1)
+    g_mat = g.reshape(n, c_out, -1)
+    grad_w = np.einsum("nop,nkp->ok", g_mat, cols, optimize=True).reshape(w.shape)
+    grad_b = g.sum(axis=(0, 2, 3))
+    grad_cols = np.einsum("ok,nop->nkp", w_mat, g_mat, optimize=True)
+    grad_pad = np.zeros(x_pad.shape, dtype=x.dtype)
+    np.add.at(grad_pad, (slice(None), k_idx, i_idx, j_idx), grad_cols)
+    hp, wp = x_pad.shape[2:]
+    grad_x = grad_pad[:, :, padding : hp - padding, padding : wp - padding]
+    return out, grad_x, grad_w, grad_b
+
+
+def _src_conv2d(x, w, b, g, padding):
+    """``repro.tensor.functional.conv2d`` forward + backward, same returns."""
+    tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = conv2d(tx, tw, tb, padding=padding)
+    out.backward(g)
+    return out.numpy(), tx.grad, tw.grad, tb.grad
+
+
+def run_kernels(smoke: bool, repeats: int, emit):
+    """The seed CNN's two 5x5 convs at its training batch: bitwise
+    agreement of output and all three gradients is asserted, then both
+    kernels' forward+backward are timed (best of ``repeats``)."""
+    batch, size = (20, 8) if smoke else (50, 16)
+    width = 32
+    rng = np.random.default_rng(0)
+    shapes = [
+        ("conv1", (batch, 3, size, size), width),
+        ("conv2", (batch, width, size // 2, size // 2), 2 * width),
+    ]
+    inner = 5 if smoke else 10
+    emit(f"{'layer':>6} {'input':>16} {'seed (ms)':>10} {'src (ms)':>9} "
+         f"{'speedup':>8} {'bit-identical':>14}")
+    rows, failures = [], []
+    for layer, shape, c_out in shapes:
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = (rng.standard_normal((c_out, shape[1], 5, 5)) * 0.1).astype(np.float32)
+        b = rng.standard_normal(c_out).astype(np.float32)
+        g = rng.standard_normal((shape[0], c_out) + shape[2:]).astype(np.float32)
+        identical = all(
+            np.array_equal(got, want) and got.dtype == want.dtype
+            for got, want in zip(_src_conv2d(x, w, b, g, 2), _seed_conv2d(x, w, b, g, 2))
+        )
+        if not identical:
+            failures.append(f"{layer}: src conv2d diverged from the seed add.at kernel")
+        timings = {}
+        for label, kernel in (("seed", _seed_conv2d), ("src", _src_conv2d)):
+            kernel(x, w, b, g, 2)  # warm-up
+            best = float("inf")
+            for _ in range(max(repeats, 2)):
+                start = time.perf_counter()
+                for _ in range(inner):
+                    kernel(x, w, b, g, 2)
+                best = min(best, (time.perf_counter() - start) / inner)
+            timings[label] = best
+        speedup = timings["seed"] / timings["src"]
+        emit(f"{layer:>6} {str(shape):>16} {timings['seed'] * 1e3:>10.3f} "
+             f"{timings['src'] * 1e3:>9.3f} {speedup:>7.2f}x {str(identical):>14}")
+        rows.append(
+            {
+                "layer": layer,
+                "input": list(shape),
+                "seed_s": timings["seed"],
+                "src_s": timings["src"],
+                "speedup": speedup,
+                "bit_identical": identical,
+            }
+        )
+    return rows, failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -585,6 +679,10 @@ def main(argv=None):
     )
     failures += dispatch_failures
 
+    emit("\n== conv2d kernels: slice-add col2im vs seed add.at (fwd+bwd) ==")
+    kernel_rows, kernel_failures = run_kernels(args.smoke, args.repeats, emit)
+    failures += kernel_failures
+
     emit("\n== async bounded-staleness rounds vs sync (seeded stragglers) ==")
     async_rows, async_failures = run_async_rounds(
         args.repeats, cores, args.smoke, args.max_async_ratio, emit
@@ -598,6 +696,7 @@ def main(argv=None):
         "smoke": args.smoke,
         "collect": rows,
         "backend_dispatch": dispatch_rows,
+        "kernels": kernel_rows,
         "async_rounds": async_rows,
         "deterministic": deterministic,
         "failures": failures,

@@ -22,7 +22,6 @@ backends pack into).
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.fl.client import Client
 from repro.fl.registry import register_method
@@ -52,6 +51,10 @@ class CluSampServer(FederatedServer):
         if len(known) < 2 * k:
             # Not enough participation history: single cold pool.
             return [[c.client_id for c in self.clients]]
+
+        # Deferred: scipy.cluster costs ~0.2 s to import, and every
+        # server build loads this module through the method registry.
+        from scipy.cluster.vq import kmeans2
 
         vectors = np.stack([self._updates[i] for i in known])
         norms = np.linalg.norm(vectors, axis=1, keepdims=True)

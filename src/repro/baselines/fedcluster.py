@@ -75,8 +75,10 @@ class FedClusterServer(FederatedServer):
             losses.extend(r.mean_loss for r in results)
             total_clients += len(members)
         self._global = state
-        self.ledger.record_down(total_clients * self.model_size)
-        self.ledger.record_up(total_clients * self.model_size)
+        if not self.executor.backend.measures_comm:
+            # A measuring backend (distributed) already recorded every leg.
+            self.ledger.record_down(total_clients * self.model_size)
+            self.ledger.record_up(total_clients * self.model_size)
         return {
             "train_loss": float(np.mean(losses)) if losses else None,
             # The cyclic schedule trains per_cluster clients per visit,

@@ -6,9 +6,16 @@ autograd graph. The :mod:`repro.nn` module layer classes are thin
 stateful wrappers around these functions.
 
 Convolutions use the classic im2col lowering: each sliding window is
-unrolled into a column so the convolution becomes one large matrix
-multiply. On small CIFAR-scale inputs this is the fastest pure-NumPy
-strategy by a wide margin.
+unrolled into a column (one fancy-index gather) so the convolution
+becomes one large matrix multiply. On small CIFAR-scale inputs this is
+the fastest pure-NumPy strategy by a wide margin. The inverse, col2im
+(conv2d's input gradient and strided ``max_pool2d``'s backward), is a
+loop of kh·kw basic-slice ``+=`` — one per kernel offset — into the
+input-gradient buffer. Each input element receives its contributions
+in the same kernel-offset order as an ``np.add.at`` scatter over the
+im2col indices, so the result is bitwise identical to that scatter
+while skipping its per-element index walk, and the backend needs
+nothing beyond basic slicing for it.
 
 Array math dispatches through the active
 :class:`~repro.tensor.backend.ArrayBackend`.  Two documented host-side
@@ -89,6 +96,23 @@ def im2col_indices(
     return k, i, j
 
 
+def _col2im_add(dst, cols, stride: int) -> None:
+    """Scatter-add unrolled windows back onto their input positions.
+
+    ``dst`` is ``(..., H, W)``; ``cols`` is ``(..., kh, kw, out_h,
+    out_w)`` with the same leading axes. Window ``(p, q)`` at kernel
+    offset ``(a, b)`` lands on ``dst[..., a + stride*p, b + stride*q]``;
+    offsets are visited in row-major order, which is the accumulation
+    order of ``np.add.at`` over :func:`im2col_indices`.
+    """
+    kh, kw, out_h, out_w = cols.shape[-4:]
+    span_h = stride * (out_h - 1) + 1
+    span_w = stride * (out_w - 1) + 1
+    for a in range(kh):
+        for b in range(kw):
+            dst[..., a : a + span_h : stride, b : b + span_w : stride] += cols[..., a, b, :, :]
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -143,9 +167,14 @@ def conv2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            grad_cols = bk.einsum("ok,nop->nkp", w_mat, g_mat)
+            # Channel-major output: the same GEMM as "ok,nop->nkp"
+            # without its output transpose.
+            grad_cols = bk.einsum("ok,nop->knp", w_mat, g_mat)
+            grad_cols = grad_cols.reshape(c_in, kh, kw, n, out_h, out_w)
             grad_pad = bk.zeros((n, c_in, hp, wp), dtype=x.data.dtype)
-            bk.add_at(grad_pad, (slice(None), k_idx, i_idx, j_idx), grad_cols)
+            _col2im_add(
+                grad_pad.transpose(1, 0, 2, 3), grad_cols.transpose(0, 3, 1, 2, 4, 5), stride
+            )
             if padding:
                 grad_pad = grad_pad[:, :, padding:-padding, padding:-padding]
             x._accumulate(grad_pad)
@@ -194,9 +223,10 @@ def max_pool2d(x: Tensor, kernel_size: int = 2, stride: int | None = None) -> Te
         g = bk.asarray(g).reshape(n, c, -1)
         grad_cols = bk.zeros((n, c, kernel_size * kernel_size, g.shape[-1]), dtype=x.data.dtype)
         bk.put_along_axis(grad_cols, arg[:, :, None, :], g[:, :, None, :], axis=2)
-        grad_cols = grad_cols.reshape(n, c * kernel_size * kernel_size, -1)
         grad = bk.zeros_like(x.data)
-        bk.add_at(grad, (slice(None), k_idx, i_idx, j_idx), grad_cols)
+        _col2im_add(
+            grad, grad_cols.reshape(n, c, kernel_size, kernel_size, out_h, out_w), stride
+        )
         x._accumulate(grad)
 
     return Tensor._make(out, (x,), backward_general, "max_pool2d")

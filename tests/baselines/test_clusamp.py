@@ -1,8 +1,14 @@
 """CluSamp: clustering, stratified sampling, FedAvg-compatible aggregation."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.fl.simulation import FLSimulation, run_simulation
 
 
@@ -45,3 +51,29 @@ class TestCluSamp:
     def test_learns(self, tiny_config):
         result = run_simulation(tiny_config.replace(rounds=6, local_epochs=3).with_method("clusamp"))
         assert result.best_accuracy > 0.15
+
+
+def test_building_other_methods_skips_scipy_cluster():
+    """The method registry imports every baseline on the first server
+    build; CluSamp's k-means must not make ``scipy.cluster`` part of
+    that cost for methods that never cluster."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from repro.fl.config import FLConfig
+        from repro.fl.simulation import FLSimulation
+
+        FLSimulation(FLConfig(
+            method="fedcross", dataset="synth_cifar10", model="mlp",
+            num_clients=4, participation=0.5, rounds=1,
+            dataset_params={"samples_per_client": 10, "num_test": 20},
+        ))
+        print(sorted(m for m in sys.modules if m.startswith("scipy.cluster")))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -67,6 +67,19 @@ class TestMeasuredLedger:
             assert record.comm_up_params == int(cost["up"])
             assert record.comm_down_params == int(cost["down"])
 
+    def test_fedcluster_not_double_charged(self):
+        """FedCluster drives its own cluster-sequential round; on a
+        measuring backend its analytic charge must not be added on top
+        of the legs the transport already recorded."""
+        totals = {}
+        for execution in ("serial", "distributed"):
+            config = _config(method="fedcluster", execution=execution, rounds=1)
+            result = FLSimulation(config).run()
+            (record,) = result.history.records
+            totals[execution] = (record.comm_up_params, record.comm_down_params)
+        assert totals["serial"][0] > 0
+        assert totals["distributed"] == totals["serial"]
+
 
 class TestNoCoordinatorTransit:
     """The acceptance property of co-located execution: each leg's
